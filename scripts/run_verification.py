@@ -40,24 +40,24 @@ def main() -> int:
         ok = sum(r.passed for r in reports)
         met = sum(r.hypothesis_met for r in reports)
         failures += len(reports) - ok
-        print(f"{name:<28} {len(reports):>9} {ok:>7} {met:>8} {time.time() - t0:>7.1f}")
+        print(f"{name:<28} {len(reports):>9} {ok:>7} {met:>8} {time.perf_counter() - t0:>7.1f}")
 
     for r, k in RK_PAIRS:
-        t0 = time.time()
+        t0 = time.perf_counter()
         reports = run_tasks(main_sweep_tasks(r, k, args.trials, args.seed), jobs=args.jobs)
         row(f"guarantee r={r} k={k}", reports, t0)
 
     for r, k in RK_PAIRS:
-        t0 = time.time()
+        t0 = time.perf_counter()
         reports = run_tasks(charzn_sweep_tasks(r, k), jobs=args.jobs)
         row(f"characterization r={r} k={k}", reports, t0)
 
     for r, t in RT_PAIRS:
-        t0 = time.time()
+        t0 = time.perf_counter()
         reports = run_tasks(bsw_sweep_tasks(r, t), jobs=args.jobs)
         row(f"sharpness r={r} t={t}", reports, t0)
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     reports = run_tasks(parity_sweep_tasks(args.parity_trials, args.seed), jobs=args.jobs)
     row("parity audit", reports, t0)
 

@@ -6,9 +6,12 @@ parallel copy of the entry edge correctly cancels bridge status.  Loops are
 never bridges.
 
 Edge and vertex connectivity are computed by maximum flow.  Parallel edges
-act as capacity multiplicity for edge connectivity; vertex connectivity is
-defined for simple graphs via the usual vertex-splitting construction over
-non-adjacent pairs, with the complete-graph convention K_n -> n - 1.
+act as capacity multiplicity for edge connectivity.  Vertex connectivity
+uses the usual vertex-splitting construction over non-adjacent pairs, with
+the complete-graph convention K_n -> n - 1; parallel edges collapse to one
+adjacency.  Following Even (SIAM J. Comput. 1975), flow sources stop at the
+running minimum, so at most kappa + 1 vertices serve as sources instead of
+all n.
 """
 
 from __future__ import annotations
@@ -134,7 +137,21 @@ def edge_connectivity(g: Multigraph) -> int:
 
 
 def vertex_connectivity(g: Multigraph) -> int:
-    """Minimum vertex cut size of a simple graph; K_n gives n - 1."""
+    """Minimum vertex cut size of a loop-free graph; K_n gives n - 1.
+
+    Parallel edges are collapsed into one adjacency, so a multigraph has the
+    vertex connectivity of its underlying simple graph.
+
+    Flow sources run s = 0, 1, ... while s < best (Even's "i <= k", counted
+    from 1), each against every non-adjacent target t > s.  This is exact:
+    take a minimum cut C with |C| = kappa.  Some vertex among the first
+    kappa + 1 is not in C; let i <= kappa be the smallest such index.  Every
+    vertex below i is in C, so the other side of G - C holds a vertex j > i
+    not adjacent to i, and the flow for (i, j) is at most kappa.  No flow
+    between non-adjacent vertices is below kappa, so best >= kappa
+    throughout.  While best > kappa the loop still runs at s = i < best, and
+    once best == kappa there is nothing left to find.
+    """
     if any(u == v for _, u, v in g.edges()):
         raise ValueError("vertex connectivity is defined for loop-free graphs")
     if g.n < 2:
@@ -161,11 +178,13 @@ def vertex_connectivity(g: Multigraph) -> int:
         return _max_flow(cap, 2 * s + 1, 2 * t, limit)
 
     best = n - 1
-    for s in range(n):
+    s = 0
+    while s < best:
         for t in range(s + 1, n):
             if t in adj[s]:
                 continue
             best = min(best, split_flow(s, t, best))
             if best == 0:
                 return 0
+        s += 1
     return best

@@ -7,6 +7,8 @@ check.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from hypothesis import strategies as st
 
 from regfactor import Multigraph
@@ -61,6 +63,28 @@ def naive_bridges(g: Multigraph) -> list[int]:
         if len(h.components()) > base:
             out.append(eid)
     return out
+
+
+def brute_vertex_connectivity(g: Multigraph) -> int:
+    """Smallest C with G - C disconnected, by size-ordered subset search;
+    n - 1 when no such C exists (complete graphs)."""
+    adj: list[set[int]] = [set() for _ in range(g.n)]
+    for _, u, v in g.edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    for size in range(g.n - 1):
+        for cut in combinations(range(g.n), size):
+            rest = set(range(g.n)) - set(cut)
+            start = min(rest)
+            seen = {start}
+            stack = [start]
+            while stack:
+                for w in adj[stack.pop()] & rest - seen:
+                    seen.add(w)
+                    stack.append(w)
+            if seen != rest:
+                return size
+    return g.n - 1
 
 
 def brute_max_matching_size(g: Multigraph) -> int:

@@ -148,7 +148,7 @@ def test_criterion_6_bsw_sharpness():
     g = bsw_graph(BswParams(2, 1))
     assert g.n == 38
     assert g.regular_degree() == 5
-    assert vertex_connectivity(g) >= 3
+    assert vertex_connectivity(g) == 3
     rep_no = verify_bsw(BswParams(2, 1), k=2)
     rep_yes = verify_bsw(BswParams(2, 1), k=1)
     assert rep_no.passed and not rep_no.factor_found

@@ -16,7 +16,7 @@ from regfactor import (
     vertex_connectivity,
 )
 
-from helpers import multigraphs, naive_bridges, simple_graphs
+from helpers import brute_vertex_connectivity, multigraphs, naive_bridges, simple_graphs
 
 
 def test_bridges_trivial(k4):
@@ -85,7 +85,22 @@ def test_vertex_connectivity_small(k4, c5):
 
 
 def test_vertex_connectivity_bsw():
-    assert vertex_connectivity(bsw_graph(BswParams(2, 1))) >= 3
+    # exact values pinned by details.vertexConnectivity in verify_bsw reports
+    for (r, t), kappa in {(2, 1): 3, (3, 1): 3, (3, 2): 5, (4, 1): 3}.items():
+        assert vertex_connectivity(bsw_graph(BswParams(r, t))) == kappa
+
+
+def test_vertex_connectivity_collapses_parallel_edges():
+    g = petersen_graph()
+    doubled = Multigraph.from_edges(g.n, [(u, v) for _, u, v in g.edges()] * 2)
+    assert vertex_connectivity(doubled) == 3
+
+
+@given(simple_graphs(max_n=7))
+def test_vertex_connectivity_matches_brute_separator(g):
+    if g.n < 2:
+        return
+    assert vertex_connectivity(g) == brute_vertex_connectivity(g)
 
 
 @given(simple_graphs(max_n=7))
