@@ -9,7 +9,6 @@ concrete instances.
 
 from .connectivity import bridges, edge_connectivity, is_connected, vertex_connectivity
 from .factor import (
-    ComponentRecord,
     FactorResult,
     OddComponentProfile,
     TutteWitness,

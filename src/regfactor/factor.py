@@ -55,29 +55,17 @@ class TutteWitness:
 
 
 @dataclass(frozen=True)
-class ComponentRecord:
-    """One component of G-S-T with its edge counts to T and S."""
-
-    vertices: tuple[int, ...]
-    edges_to_t: int
-    edges_to_s: int
-    t_odd: bool
-
-
-@dataclass(frozen=True)
 class OddComponentProfile:
     """Classification of the T-odd components of G-S-T.
 
     q1 counts T-odd components with one edge to T and none to S, q2 those
     with one edge to T and at least one to S, q3 those with at least three
-    edges to T.  Components with an even edge count to T are recorded but
-    unclassified.
+    edges to T.  Components with an even edge count to T are not counted.
     """
 
     q1: int
     q2: int
     q3: int
-    components: tuple[ComponentRecord, ...]
 
     @property
     def q(self) -> int:
@@ -110,45 +98,54 @@ class FactorResult:
         return {"edges": sorted(self.edge_ids), "ell": self.ell}
 
 
-def t_odd_profile(g: Multigraph, s: Iterable[int], t: Iterable[int]) -> OddComponentProfile:
-    """Classify the components of G-S-T by their edge counts to T and S."""
+def component_edge_counts(
+    g: Multigraph, s: Iterable[int], t: Iterable[int]
+) -> tuple[list[list[int]], list[int], list[int], list[int]]:
+    """Label G-S-T once and count each component's edges to T and to S.
+
+    Returns ``(comps, label, to_t, to_s)``: the components of G-S-T in the
+    order of ``Multigraph.components``, each vertex's component index (-1
+    for vertices of S and T), and per component the number of edges to T
+    and to S.  As in ``Multigraph.cross_edge_count``, loops never count and
+    parallel edges count with their multiplicity.  S and T must be disjoint.
+    """
     ss = set(s)
     st = set(t)
     if ss & st:
         raise ValueError(f"vertex sets overlap: {sorted(ss & st)}")
-    records = []
-    q1 = q2 = q3 = 0
-    for comp in g.components(exclude=ss | st):
-        cs = set(comp)
-        to_t = g.cross_edge_count(cs, st)
-        to_s = g.cross_edge_count(cs, ss)
-        odd = to_t % 2 == 1
-        records.append(ComponentRecord(tuple(comp), to_t, to_s, odd))
-        if odd:
-            if to_t == 1:
-                if to_s == 0:
-                    q1 += 1
-                else:
-                    q2 += 1
-            else:
-                q3 += 1
-    return OddComponentProfile(q1, q2, q3, tuple(records))
+    comps = g.components(exclude=ss | st)
+    label = [-1] * g.n
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            label[v] = ci
+    to_t = [0] * len(comps)
+    to_s = [0] * len(comps)
+    for _, u, v in g.edges():
+        cu, cv = label[u], label[v]
+        if cu >= 0 and cv < 0:
+            (to_t if v in st else to_s)[cu] += 1
+        elif cv >= 0 and cu < 0:
+            (to_t if u in st else to_s)[cv] += 1
+    return comps, label, to_t, to_s
+
+
+def t_odd_profile(g: Multigraph, s: Iterable[int], t: Iterable[int]) -> OddComponentProfile:
+    """Classify the T-odd components of G-S-T by their edge counts to T and S."""
+    _, _, to_t, to_s = component_edge_counts(g, s, t)
+    pairs = list(zip(to_t, to_s))
+    return OddComponentProfile(
+        q1=sum(1 for x, y in pairs if x == 1 and y == 0),
+        q2=sum(1 for x, y in pairs if x == 1 and y > 0),
+        q3=sum(1 for x, _ in pairs if x % 2 == 1 and x > 1),
+    )
 
 
 def q_count(g: Multigraph, ell: int, s: Iterable[int], t: Iterable[int]) -> int:
     """Number of components Q of G-S-T with cross(Q,T) + ℓ|Q| odd."""
     if ell < 1:
         raise ValueError(f"factor degree must be >= 1, got {ell}")
-    ss = set(s)
-    st = set(t)
-    if ss & st:
-        raise ValueError(f"vertex sets overlap: {sorted(ss & st)}")
-    count = 0
-    for comp in g.components(exclude=ss | st):
-        parity = g.cross_edge_count(set(comp), st) + ell * len(comp)
-        if parity % 2 == 1:
-            count += 1
-    return count
+    comps, _, to_t, _ = component_edge_counts(g, s, t)
+    return sum((x + ell * len(c)) % 2 for c, x in zip(comps, to_t))
 
 
 def tutte_deficiency(g: Multigraph, ell: int, s: Iterable[int], t: Iterable[int]) -> int:

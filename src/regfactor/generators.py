@@ -21,6 +21,7 @@ oracle within reach.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .connectivity import bridges, is_connected
@@ -415,6 +416,18 @@ def bsw_graph(params: BswParams) -> Multigraph:
 # -- random and named graphs ---------------------------------------------------
 
 
+def _pairing_samples(n: int, d: int, seed: int) -> Iterator[Multigraph]:
+    """Pairing-model samples, each a reshuffle of one stub list by one Random(seed)."""
+    rng = random.Random(seed)
+    stubs = [v for v in range(n) for _ in range(d)]
+    while True:
+        rng.shuffle(stubs)
+        g = Multigraph(n)
+        for i in range(0, len(stubs), 2):
+            g.add_edge(stubs[i], stubs[i + 1])
+        yield g
+
+
 def random_regular_multigraph(n: int, d: int, seed: int) -> Multigraph:
     """Uniform pairing model: d stubs per vertex, matched at random.
 
@@ -425,26 +438,14 @@ def random_regular_multigraph(n: int, d: int, seed: int) -> Multigraph:
         raise ValueError(f"n must be >= 1, got {n}")
     if (n * d) % 2 == 1:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
-    rng = random.Random(seed)
-    stubs = [v for v in range(n) for _ in range(d)]
-    rng.shuffle(stubs)
-    g = Multigraph(n)
-    for i in range(0, len(stubs), 2):
-        g.add_edge(stubs[i], stubs[i + 1])
-    return g
+    return next(_pairing_samples(n, d, seed))
 
 
 def random_connected_regular_multigraph(n: int, d: int, seed: int, max_tries: int = 2000) -> Multigraph:
     """Resample the pairing model until the graph is connected."""
-    rng = random.Random(seed)
     if n < 1 or (n * d) % 2 == 1:
         raise ValueError(f"need n >= 1 and n*d even, got n={n}, d={d}")
-    stubs = [v for v in range(n) for _ in range(d)]
-    for _ in range(max_tries):
-        rng.shuffle(stubs)
-        g = Multigraph(n)
-        for i in range(0, len(stubs), 2):
-            g.add_edge(stubs[i], stubs[i + 1])
+    for _, g in zip(range(max_tries), _pairing_samples(n, d, seed)):
         if is_connected(g):
             return g
     raise ValueError(f"no connected {d}-regular sample on {n} vertices after {max_tries} tries")

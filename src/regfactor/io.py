@@ -102,15 +102,16 @@ def from_graph6(text: str) -> Multigraph:
     data = text.strip()
     if data.startswith(">>graph6<<"):
         data = data[len(">>graph6<<") :]
+    bad = [ch for ch in data if not "?" <= ch <= "~"]
+    if bad:
+        raise ValueError(f"graph6 parse error: invalid character {bad[0]!r}")
     n, rest = _g6_decode_n(data)
     need = (n * (n - 1) // 2 + 5) // 6
-    if len(rest) < need:
+    if len(rest) != need:
         raise ValueError(f"graph6 parse error: expected {need} data characters, got {len(rest)}")
     bits = []
-    for ch in rest[:need]:
+    for ch in rest:
         val = ord(ch) - 63
-        if not (0 <= val < 64):
-            raise ValueError(f"graph6 parse error: invalid character {ch!r}")
         bits.extend((val >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
     g = Multigraph(n)
     idx = 0

@@ -34,6 +34,7 @@ from typing import Iterator
 
 from .connectivity import bridges, vertex_connectivity
 from .factor import (
+    component_edge_counts,
     exhaustive_tutte_oracle,
     find_factor,
     q_count,
@@ -132,13 +133,7 @@ def check_conditions_a_f(g: Multigraph, r: int, k: int, cert: PartitionCertifica
     r_set, s_set, t_set = _partition_sets(g, cert)
     deg = 2 * r + 1
     cut = bridges(g)
-    comps = g.components(exclude=s_set | t_set)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    to_t = [g.cross_edge_count(set(c), t_set) for c in comps]
-    to_s = [g.cross_edge_count(set(c), s_set) for c in comps]
+    comps, comp_of, to_t, to_s = component_edge_counts(g, s_set, t_set)
 
     cond_a = (
         g.induced_edge_count(s_set) == 0
@@ -213,8 +208,6 @@ def check_extremal_equalities(g, k, s, t) -> tuple[bool, bool, bool, bool, bool]
     if deg is None or deg % 2 == 0 or deg < 3:
         raise ValueError("equality ledger requires a (2r+1)-regular graph")
     s_set, t_set = set(s), set(t)
-    if s_set & t_set:
-        raise ValueError(f"vertex sets overlap: {sorted(s_set & t_set)}")
     r_set = set(range(g.n)) - s_set - t_set
     profile = t_odd_profile(g, s_set, t_set)
     p = len(bridges(g))

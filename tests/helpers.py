@@ -65,6 +65,17 @@ def naive_bridges(g: Multigraph) -> list[int]:
     return out
 
 
+def naive_component_counts(g: Multigraph, s: set[int], t: set[int]):
+    """Components of G-S-T, each vertex's component index (-1 on S and T),
+    and per component one full ``cross_edge_count`` rescan toward T and
+    toward S."""
+    comps = g.components(exclude=s | t)
+    label = [next((i for i, c in enumerate(comps) if v in c), -1) for v in range(g.n)]
+    to_t = [g.cross_edge_count(set(c), t) for c in comps]
+    to_s = [g.cross_edge_count(set(c), s) for c in comps]
+    return comps, label, to_t, to_s
+
+
 def brute_vertex_connectivity(g: Multigraph) -> int:
     """Smallest C with G - C disconnected, by size-ordered subset search;
     n - 1 when no such C exists (complete graphs)."""

@@ -22,7 +22,9 @@ from regfactor import (
     tutte_deficiency,
 )
 
-from helpers import disjoint_pairs, factor_degrees, multigraphs
+from regfactor.factor import component_edge_counts
+
+from helpers import disjoint_pairs, factor_degrees, multigraphs, naive_component_counts
 
 
 # -- T-odd component profile ---------------------------------------------------
@@ -31,7 +33,6 @@ from helpers import disjoint_pairs, factor_degrees, multigraphs
 def test_profile_empty_sets(k4):
     prof = t_odd_profile(k4, (), ())
     assert (prof.q1, prof.q2, prof.q3) == (0, 0, 0)
-    assert all(not rec.t_odd for rec in prof.components)
 
 
 def test_profile_figure1(figure1):
@@ -56,6 +57,28 @@ def test_profile_inequalities(data):
     assert prof.q1 <= len(bridges(g))
     assert prof.q2 <= g.cross_edge_count(r, s)
     assert prof.q == q_count(g, 2, s, t)
+
+
+@given(disjoint_pairs())
+def test_component_edge_counts_match_naive_rescan(data):
+    g, s, t = data
+    comps, label, to_t, to_s = naive_component_counts(g, s, t)
+    assert component_edge_counts(g, s, t) == (comps, label, to_t, to_s)
+    for ell in range(1, 5):
+        expected = sum(1 for c, x in zip(comps, to_t) if (x + ell * len(c)) % 2 == 1)
+        assert q_count(g, ell, s, t) == expected
+    prof = t_odd_profile(g, s, t)
+    assert (prof.q1, prof.q2, prof.q3) == (
+        sum(1 for x, y in zip(to_t, to_s) if x == 1 and y == 0),
+        sum(1 for x, y in zip(to_t, to_s) if x == 1 and y > 0),
+        sum(1 for x in to_t if x % 2 == 1 and x >= 3),
+    )
+
+
+def test_component_edge_counts_loops_and_parallel_edges():
+    # R = {0, 1}; 0 carries a loop and a double edge to T = {2}, 1 one edge to S = {3}
+    g = Multigraph.from_edges(4, [(0, 0), (0, 1), (0, 2), (0, 2), (1, 3), (2, 2), (2, 3)])
+    assert component_edge_counts(g, {3}, {2}) == ([[0, 1]], [0, 0, -1, -1], [2], [1])
 
 
 # -- parity-criterion component count -------------------------------------------

@@ -235,6 +235,31 @@ def test_connected_sampler():
     assert g == random_connected_regular_multigraph(8, 3, seed=11)
 
 
+@pytest.mark.parametrize("n, d", [(4, 3), (6, 3), (8, 2), (8, 5), (10, 3)])
+def test_connected_sampler_keeps_a_connected_first_sample(n, d):
+    connected_first = 0
+    for seed in range(40):
+        g = random_regular_multigraph(n, d, seed)
+        if is_connected(g):
+            connected_first += 1
+            assert random_connected_regular_multigraph(n, d, seed).edges() == g.edges()
+    assert connected_first > 0
+
+
+def test_connected_sampler_resample_stream_pinned():
+    # the first sample for this seed is disconnected, so this pins the reshuffles
+    assert not is_connected(random_regular_multigraph(6, 3, seed=0))
+    assert random_connected_regular_multigraph(6, 3, seed=0).edges() == [
+        (0, 2, 3), (1, 0, 4), (2, 3, 5), (3, 0, 2), (4, 1, 1),
+        (5, 4, 5), (6, 1, 2), (7, 3, 5), (8, 0, 4),
+    ]
+
+
+def test_connected_sampler_gives_up_after_max_tries():
+    with pytest.raises(ValueError, match="after 3 tries"):
+        random_connected_regular_multigraph(6, 1, seed=0, max_tries=3)
+
+
 # -- named graphs and controls --------------------------------------------------------
 
 

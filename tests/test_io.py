@@ -56,6 +56,27 @@ def test_graph6_header_tolerated():
     assert from_graph6(">>graph6<<C~\n") == complete_graph(4)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "A_garbage",  # characters after the packed matrix
+        "C~~",
+        "A_\nA_",  # a second graph on the next line
+        "C",  # matrix too short
+        "!",  # size byte below '?'
+        "\x7f",  # size byte above '~'
+        "~!??",  # long-form size bytes out of range
+        "~?\x7f?",
+        "~??!",
+        "~??",
+        "",
+    ],
+)
+def test_graph6_malformed_rejected(text):
+    with pytest.raises(ValueError, match="graph6 parse error"):
+        from_graph6(text)
+
+
 @given(simple_graphs())
 def test_graph6_round_trip(g):
     assert from_graph6(to_graph6(g)) == g

@@ -109,6 +109,11 @@ def test_equalities_require_regular():
         check_extremal_equalities(Multigraph.from_edges(3, [(0, 1)]), 1, set(), {0})
 
 
+def test_equalities_overlap_rejected(k4):
+    with pytest.raises(ValueError, match="overlap"):
+        check_extremal_equalities(k4, 1, {0, 1}, {1})
+
+
 # -- characterization, both directions ------------------------------------------------
 
 
