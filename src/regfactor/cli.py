@@ -26,7 +26,7 @@ import sys
 
 from . import io as gio
 from .connectivity import bridges
-from .factor import exhaustive_tutte_oracle, find_factor
+from .factor import ORACLE_CAP, exhaustive_tutte_oracle, find_factor
 from .generators import (
     BswParams,
     ExtremalParams,
@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--format", choices=["auto", "mgf", "graph6"], default="auto")
     chk.add_argument("--k", type=int, required=True)
     chk.add_argument("--oracle", action="store_true", help="also run the exhaustive criterion scan")
-    chk.add_argument("--oracle-cap", type=int, default=14, dest="oracle_cap")
+    chk.add_argument("--oracle-cap", type=int, default=ORACLE_CAP, dest="oracle_cap")
 
     ver = sub.add_parser("verify", help="theorem sweeps, one JSON report per line")
     ver_sub = ver.add_subparsers(dest="mode", required=True)

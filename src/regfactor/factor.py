@@ -29,6 +29,9 @@ from dataclasses import dataclass
 from .matching import max_matching
 from .multigraph import Multigraph
 
+# The oracle's scan is 3^n, so it refuses graphs above this many vertices.
+ORACLE_CAP = 14
+
 
 @dataclass(frozen=True)
 class TutteWitness:
@@ -157,7 +160,7 @@ def tutte_deficiency(g: Multigraph, ell: int, s: Iterable[int], t: Iterable[int]
     return q - d - ell * (len(ss) - len(st))
 
 
-def exhaustive_tutte_oracle(g: Multigraph, ell: int, cap: int = 14) -> TutteWitness | None:
+def exhaustive_tutte_oracle(g: Multigraph, ell: int, cap: int = ORACLE_CAP) -> TutteWitness | None:
     """Scan all disjoint (S,T) pairs for a criterion violation.
 
     Returns the lexicographically first maximum-deficiency witness, or None

@@ -1,8 +1,8 @@
 """Undirected multigraph with loops, parallel edges, and stable edge ids.
 
-Vertices are dense integers ``0..n-1``.  Edges carry integer ids assigned in
-insertion order; removing an edge retires its id without renumbering the
-rest, so parallel copies stay individually addressable.
+Vertices are dense integers ``0..n-1``.  Edges carry integer ids
+``0..m-1`` assigned in insertion order and never renumbered, so parallel
+copies stay individually addressable.  Edges are only ever added.
 
 Counting conventions, used consistently by every operation:
 
@@ -27,16 +27,15 @@ from collections.abc import Iterable
 class Multigraph:
     """Vertex/edge incidence structure permitting loops and parallel edges."""
 
-    __slots__ = ("_n", "_edges", "_inc", "_deg", "_alive")
+    __slots__ = ("_n", "_edges", "_inc", "_deg")
 
     def __init__(self, n: int = 0):
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         self._n = n
-        self._edges: list[tuple[int, int] | None] = []
+        self._edges: list[tuple[int, int]] = []
         self._inc: list[list[int]] = [[] for _ in range(n)]
         self._deg: list[int] = [0] * n
-        self._alive = 0
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Multigraph":
@@ -54,8 +53,8 @@ class Multigraph:
 
     @property
     def m(self) -> int:
-        """Number of (live) edges."""
-        return self._alive
+        """Number of edges."""
+        return len(self._edges)
 
     def add_vertex(self) -> int:
         self._inc.append([])
@@ -79,32 +78,17 @@ class Multigraph:
             self._inc[v].append(eid)
         self._deg[u] += 1
         self._deg[v] += 1
-        self._alive += 1
         return eid
 
-    def remove_edge(self, eid: int) -> None:
-        """Remove one edge by id.  Of parallel copies, only this one goes."""
-        u, v = self.edge(eid)
-        self._edges[eid] = None
-        self._inc[u].remove(eid)
-        if u != v:
-            self._inc[v].remove(eid)
-        self._deg[u] -= 1
-        self._deg[v] -= 1
-        self._alive -= 1
-
     def edge(self, eid: int) -> tuple[int, int]:
-        """Endpoints of a live edge (equal endpoints mean a loop)."""
-        if not (0 <= eid < len(self._edges)) or self._edges[eid] is None:
+        """Endpoints of an edge (equal endpoints mean a loop)."""
+        if not (0 <= eid < len(self._edges)):
             raise ValueError(f"unknown edge id {eid}")
         return self._edges[eid]
 
     def edges(self) -> list[tuple[int, int, int]]:
-        """Live edges as (eid, u, v), in id order."""
-        return [(i, e[0], e[1]) for i, e in enumerate(self._edges) if e is not None]
-
-    def edge_ids(self) -> list[int]:
-        return [i for i, e in enumerate(self._edges) if e is not None]
+        """Edges as (eid, u, v), in id order."""
+        return [(i, u, v) for i, (u, v) in enumerate(self._edges)]
 
     def incident(self, v: int) -> list[int]:
         """Ids of edges incident to v, loops listed once."""
@@ -116,16 +100,13 @@ class Multigraph:
         g._edges = list(self._edges)
         g._inc = [list(lst) for lst in self._inc]
         g._deg = list(self._deg)
-        g._alive = self._alive
         return g
 
     def __eq__(self, other: object) -> bool:
         """Same vertex count and same edge multiset (insertion order ignored)."""
         if not isinstance(other, Multigraph):
             return NotImplemented
-        return self._n == other._n and sorted(
-            e for e in self._edges if e is not None
-        ) == sorted(e for e in other._edges if e is not None)
+        return self._n == other._n and sorted(self._edges) == sorted(other._edges)
 
     def __repr__(self) -> str:
         return f"Multigraph(n={self._n}, m={self.m})"
@@ -145,7 +126,7 @@ class Multigraph:
     def induced_edge_count(self, vertices: Iterable[int]) -> int:
         """Number of edges with both endpoints in the set (loops count once)."""
         t = self._as_set(vertices)
-        return sum(1 for e in self._edges if e is not None and e[0] in t and e[1] in t)
+        return sum(1 for u, v in self._edges if u in t and v in t)
 
     def cross_edge_count(self, a: Iterable[int], b: Iterable[int]) -> int:
         """Number of edges with one endpoint in a and the other in b.
@@ -157,10 +138,7 @@ class Multigraph:
         if sa & sb:
             raise ValueError(f"vertex sets overlap: {sorted(sa & sb)}")
         count = 0
-        for e in self._edges:
-            if e is None:
-                continue
-            u, v = e
+        for u, v in self._edges:
             if (u in sa and v in sb) or (u in sb and v in sa):
                 count += 1
         return count
@@ -196,7 +174,7 @@ class Multigraph:
             while stack:
                 v = stack.pop()
                 for eid in self._inc[v]:
-                    u, w = self._edges[eid]  # type: ignore[misc]
+                    u, w = self._edges[eid]
                     nxt = w if u == v else u
                     if not seen[nxt] and nxt not in ex:
                         seen[nxt] = True
@@ -211,10 +189,7 @@ class Multigraph:
         ks = sorted(self._as_set(keep))
         index = {v: i for i, v in enumerate(ks)}
         g = Multigraph(len(ks))
-        for e in self._edges:
-            if e is None:
-                continue
-            u, v = e
+        for u, v in self._edges:
             if u in index and v in index:
                 g.add_edge(index[u], index[v])
         return g
@@ -235,8 +210,6 @@ class Multigraph:
         """True if the graph has no loop and no parallel pair."""
         seen: set[tuple[int, int]] = set()
         for e in self._edges:
-            if e is None:
-                continue
             if e[0] == e[1] or e in seen:
                 return False
             seen.add(e)

@@ -34,6 +34,7 @@ from typing import Iterator
 
 from .connectivity import bridges, vertex_connectivity
 from .factor import (
+    ORACLE_CAP,
     component_edge_counts,
     exhaustive_tutte_oracle,
     find_factor,
@@ -55,7 +56,9 @@ from .generators import (
 )
 from .multigraph import Multigraph
 
-CONDITION_KEYS = ("a", "b", "c", "d", "e", "f")
+# Leaves of the fallback (S, T) enumeration visited before the certificate
+# search gives up.
+ASSIGN_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -224,66 +227,49 @@ def check_extremal_equalities(g, k, s, t) -> tuple[bool, bool, bool, bool, bool]
     )
 
 
-def _pendant_analysis(g: Multigraph, cut: list[int]):
-    """Orient each bridge: its pendant side is the side containing no other
-    bridge.  Returns (anchor T-vertices, pendant vertices) or None when some
-    bridge cannot be oriented."""
-    bridge_pairs = [g.edge(eid) for eid in cut]
+def _orient_bridges(g: Multigraph, cut: list[int]):
+    """Orient each cut-edge by the blocks of G minus its cut-edges: the end
+    in a block holding no other cut-edge end is pendant, the end in a block
+    holding two or more is the anchor.
+
+    Returns (the anchors, the other vertices of blocks holding two or more
+    cut-edge ends in increasing order), or None when some cut-edge has two
+    ends of the same kind.
+    """
+    cut_set = set(cut)
+    rest = ((u, v) for eid, u, v in g.edges() if eid not in cut_set)
+    blocks = Multigraph.from_edges(g.n, rest).components()
+    block_of = [0] * g.n
+    for b, block in enumerate(blocks):
+        for v in block:
+            block_of[v] = b
+    ends = [0] * len(blocks)
+    for eid in cut:
+        for v in g.edge(eid):
+            ends[block_of[v]] += 1
+
     anchors: set[int] = set()
-    pendant: set[int] = set()
-
-    def side(eid: int, start: int) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for fid in g.incident(v):
-                if fid == eid:
-                    continue
-                a, b = g.edge(fid)
-                w = b if a == v else a
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
     for eid in cut:
         u, v = g.edge(eid)
-        side_u = side(eid, u)
-        u_holds = any(
-            other != eid and a in side_u and b in side_u
-            for other, (a, b) in zip(cut, bridge_pairs)
-        )
-        side_v = side(eid, v)
-        v_holds = any(
-            other != eid and a in side_v and b in side_v
-            for other, (a, b) in zip(cut, bridge_pairs)
-        )
-        if u_holds and not v_holds:
-            anchors.add(u)
-            pendant |= side_v
-        elif v_holds and not u_holds:
-            anchors.add(v)
-            pendant |= side_u
-        else:
+        u_pendant, v_pendant = ends[block_of[u]] == 1, ends[block_of[v]] == 1
+        if u_pendant == v_pendant:
             return None
-    if anchors & pendant:
-        return None
-    return anchors, pendant
+        anchors.add(v if u_pendant else u)
+    core = [v for v in range(g.n) if ends[block_of[v]] > 1 and v not in anchors]
+    return anchors, core
 
 
-def _candidate_partitions(g: Multigraph, r: int, k: int, oracle_cap: int, assign_budget: int):
+def _candidate_partitions(g: Multigraph, k: int, cut: list[int]):
     """Candidate (S, T) pairs for the certificate search, best guesses first."""
-    if g.n <= oracle_cap:
-        witness = exhaustive_tutte_oracle(g, 2 * k, cap=oracle_cap)
+    if g.n <= ORACLE_CAP:
+        witness = exhaustive_tutte_oracle(g, 2 * k)
         if witness is not None:
             yield set(witness.S), set(witness.T)
 
-    cut = bridges(g)
-    oriented = _pendant_analysis(g, cut)
+    oriented = _orient_bridges(g, cut)
     if oriented is None:
         return
-    anchors, pendant = oriented
+    anchors, core = oriented
     adj: list[set[int]] = [set() for _ in range(g.n)]
     looped = [False] * g.n
     for _, u, v in g.edges():
@@ -292,18 +278,11 @@ def _candidate_partitions(g: Multigraph, r: int, k: int, oracle_cap: int, assign
         else:
             adj[u].add(v)
             adj[v].add(u)
-
-    undecided = set(range(g.n)) - anchors - pendant
-    # whole components untouched by bridges and anchors are plain R
-    for comp in g.components():
-        cs = set(comp)
-        if cs <= undecided:
-            undecided -= cs
-    free = sorted(v for v in undecided if not looped[v])
+    free = [v for v in core if not looped[v]]
 
     yield set(), set(anchors)
 
-    budget = assign_budget
+    budget = ASSIGN_BUDGET
 
     def assign(i: int, s_acc: list[int], t_acc: list[int]) -> Iterator[tuple[set, set]]:
         nonlocal budget
@@ -328,20 +307,17 @@ def _candidate_partitions(g: Multigraph, r: int, k: int, oracle_cap: int, assign
     yield from assign(0, [], [])
 
 
-def characterization_check(
-    g: Multigraph,
-    r: int,
-    k: int,
-    oracle_cap: int = 14,
-    assign_budget: int = 500_000,
-) -> PartitionCertificate | None:
+def characterization_check(g: Multigraph, r: int, k: int) -> PartitionCertificate | None:
     """Both directions of the extremal characterization on one graph.
 
-    Requires exactly 2r+4-3k cut-edges.  Returns None when the graph has a
-    2k-factor; otherwise searches for a partition passing (a)-(f), seeded
-    by maximum-deficiency criterion witnesses and by the bridge structure,
-    and returns it with the equality ledger attached.
+    Requires 1 <= k <= (2r+1)/3 and exactly 2r+4-3k cut-edges.  Returns
+    None when the graph has a 2k-factor; otherwise searches for a partition
+    passing (a)-(f), seeded by maximum-deficiency criterion witnesses and
+    by the bridge structure, and returns it with the equality ledger
+    attached.
     """
+    if k < 1 or 3 * k > 2 * r + 1:
+        raise ValueError(f"k must satisfy 1 <= k <= (2r+1)/3, got k={k}")
     deg = 2 * r + 1
     if g.regular_degree() != deg:
         raise ValueError(f"characterization applies to {deg}-regular graphs")
@@ -353,7 +329,7 @@ def characterization_check(
         return None
 
     tried = set()
-    for s_set, t_set in _candidate_partitions(g, r, k, oracle_cap, assign_budget):
+    for s_set, t_set in _candidate_partitions(g, k, cut):
         key = (tuple(sorted(s_set)), tuple(sorted(t_set)))
         if key in tried:
             continue
@@ -390,7 +366,7 @@ def verify_main_theorem(g: Multigraph, r: int, k: int, instance: str = "") -> Ve
     factor = find_factor(g, 2 * k) if hypothesis else None
     passed = (not hypothesis) or factor is not None
     witness = None
-    if hypothesis and factor is None and g.n <= 14:
+    if hypothesis and factor is None and g.n <= ORACLE_CAP:
         witness = exhaustive_tutte_oracle(g, 2 * k)
     millis = (time.perf_counter() - start) * 1000.0
     return VerificationReport(

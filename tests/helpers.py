@@ -51,6 +51,43 @@ def disjoint_pairs(draw, max_n: int = 8, max_m: int = 16):
     return g, s, t
 
 
+@st.composite
+def bridged_blocks(draw, max_blocks: int = 6):
+    """Small blocks (a vertex, a looped vertex, a doubled edge, a triangle or
+    a K4) joined by single edges into a star or a path, sometimes beside a
+    separate triangle, with the vertices shuffled.  Random multigraphs
+    rarely have an orientable cut-edge; these often do."""
+    sizes = {"vertex": 1, "loop": 1, "double": 2, "triangle": 3, "k4": 4}
+    kinds = draw(st.lists(st.sampled_from(sorted(sizes)), min_size=1, max_size=max_blocks))
+    blocks: list[list[int]] = []
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for kind in kinds:
+        block = list(range(n, n + sizes[kind]))
+        n += len(block)
+        blocks.append(block)
+        if kind == "loop":
+            edges.append((block[0], block[0]))
+        elif kind == "double":
+            edges += [(block[0], block[1])] * 2
+        else:
+            edges += list(combinations(block, 2))
+    star = draw(st.booleans())
+    for i in range(1, len(blocks)):
+        hub = blocks[0] if star else blocks[i - 1]
+        edges.append((draw(st.sampled_from(hub)), draw(st.sampled_from(blocks[i]))))
+    if draw(st.booleans()):
+        edges += [(n, n + 1), (n + 1, n + 2), (n, n + 2)]
+        n += 3
+    perm = draw(st.permutations(range(n)))
+    return Multigraph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def without_edge(g: Multigraph, eid: int) -> Multigraph:
+    """G minus one edge; of parallel copies only `eid` goes."""
+    return Multigraph.from_edges(g.n, [(u, v) for fid, u, v in g.edges() if fid != eid])
+
+
 def naive_bridges(g: Multigraph) -> list[int]:
     """Remove each edge in turn and recount components."""
     base = len(g.components())
@@ -58,11 +95,63 @@ def naive_bridges(g: Multigraph) -> list[int]:
     for eid, u, v in g.edges():
         if u == v:
             continue
-        h = g.copy()
-        h.remove_edge(eid)
-        if len(h.components()) > base:
+        if len(without_edge(g, eid).components()) > base:
             out.append(eid)
     return out
+
+
+def naive_bridge_orientation(g: Multigraph, cut: list[int]):
+    """Orient each cut-edge by walking both sides of it: the pendant side is
+    the side holding no other cut-edge.  Returns (anchor vertices, the
+    vertices that are neither anchors nor pendant, outside bridgeless
+    components, in increasing order), or None when some cut-edge cannot be
+    oriented or an anchor lies on a pendant side."""
+    bridge_pairs = [g.edge(eid) for eid in cut]
+    anchors: set[int] = set()
+    pendant: set[int] = set()
+
+    def side(eid: int, start: int) -> set[int]:
+        seen = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for fid in g.incident(v):
+                if fid == eid:
+                    continue
+                a, b = g.edge(fid)
+                w = b if a == v else a
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
+    for eid in cut:
+        u, v = g.edge(eid)
+        side_u = side(eid, u)
+        u_holds = any(
+            other != eid and a in side_u and b in side_u
+            for other, (a, b) in zip(cut, bridge_pairs)
+        )
+        side_v = side(eid, v)
+        v_holds = any(
+            other != eid and a in side_v and b in side_v
+            for other, (a, b) in zip(cut, bridge_pairs)
+        )
+        if u_holds and not v_holds:
+            anchors.add(u)
+            pendant |= side_v
+        elif v_holds and not u_holds:
+            anchors.add(v)
+            pendant |= side_u
+        else:
+            return None
+    if anchors & pendant:
+        return None
+    undecided = set(range(g.n)) - anchors - pendant
+    for comp in g.components():
+        if set(comp) <= undecided:
+            undecided -= set(comp)
+    return anchors, sorted(undecided)
 
 
 def naive_component_counts(g: Multigraph, s: set[int], t: set[int]):

@@ -142,16 +142,6 @@ def test_induced_subgraph_trivial(k4):
     assert (tri.n, tri.m) == (3, 3)
 
 
-def test_remove_edge_targets_one_parallel_copy():
-    g = Multigraph.from_edges(2, [(0, 1), (0, 1), (0, 1)])
-    g.remove_edge(1)
-    assert g.m == 2
-    assert g.edge_ids() == [0, 2]
-    assert g.degree(0) == 2
-    with pytest.raises(ValueError):
-        g.edge(1)
-
-
 def test_add_edge_unknown_vertex():
     g = Multigraph(2)
     with pytest.raises(ValueError):

@@ -1,4 +1,8 @@
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regfactor import (
     BswParams,
@@ -11,9 +15,11 @@ from regfactor import (
     check_conditions_a_f,
     check_extremal_equalities,
     complete_graph,
+    general_extremal,
     general_extremal_with_partition,
     has_2k_factor,
     parity_audit,
+    petersen_graph,
     random_regular_multigraph,
     sylvester_extremal,
     verify_bsw,
@@ -21,7 +27,9 @@ from regfactor import (
     verify_extremal_instance,
     verify_main_theorem,
 )
-from regfactor.verifier import main_sweep_tasks, parity_sweep_tasks, run_task, run_tasks
+from regfactor.verifier import _orient_bridges, main_sweep_tasks, parity_sweep_tasks, run_task, run_tasks
+
+from helpers import bridged_blocks, multigraphs, naive_bridge_orientation
 
 
 # -- guarantee -------------------------------------------------------------------
@@ -134,6 +142,58 @@ def test_characterization_figure1(figure1):
 def test_characterization_wrong_bridge_count(k4):
     with pytest.raises(ValueError, match="cut-edges"):
         characterization_check(k4, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "g, r, k",
+    [(complete_graph(4), 1, 2), (petersen_graph(), 1, 2), (complete_graph(6), 2, 3)],
+    ids=["k4", "petersen", "k6"],
+)
+def test_characterization_rejects_k_out_of_range(g, r, k):
+    with pytest.raises(ValueError, match=r"k must satisfy 1 <= k <= \(2r\+1\)/3"):
+        characterization_check(g, r, k)
+
+
+# one certificate per search route, pinned from the search's candidate order
+_PINNED_CERTIFICATES = [
+    # the oracle's maximum-deficiency witness (n = 10)
+    (ExtremalParams(1, 1, size_t=1, size_s=0), range(1, 10), [], [0]),
+    # the fallback enumeration, 43rd candidate tried
+    (ExtremalParams(2, 1, size_t=2, size_s=1, blister_count=1), range(3, 24), [2], [0, 1]),
+    # the fallback enumeration, 721st candidate tried
+    (ExtremalParams(3, 2, size_t=2, size_s=1, blister_count=1), range(3, 26), [2], [0, 1]),
+]
+
+
+@pytest.mark.parametrize(
+    "params, r_set, s_set, t_set", _PINNED_CERTIFICATES, ids=["oracle", "r2-assign", "r3-assign"]
+)
+def test_characterization_certificates_pinned(params, r_set, s_set, t_set):
+    cert = characterization_check(general_extremal(params), params.r, params.k)
+    expected = {
+        "R": list(r_set),
+        "S": s_set,
+        "T": t_set,
+        "conditions": dict.fromkeys("abcdef", True),
+        "equalities": [True] * 5,
+    }
+    assert json.dumps(cert.to_json()) == json.dumps(expected)
+
+
+@settings(max_examples=200)
+@given(st.one_of(multigraphs(max_n=10, max_m=14), bridged_blocks()))
+def test_orient_bridges_matches_naive(g):
+    cut = bridges(g)
+    assert _orient_bridges(g, cut) == naive_bridge_orientation(g, cut)
+
+
+def test_orient_bridges_fixed_cases():
+    g = sylvester_extremal(1, 1)
+    cut = bridges(g)
+    (hub,) = set.intersection(*(set(g.edge(eid)) for eid in cut))
+    assert _orient_bridges(g, cut) == ({hub}, [])
+    chain = bridged_chain(1, 3)
+    assert _orient_bridges(chain, bridges(chain)) is None
 
 
 def test_characterization_control_returns_none():
