@@ -30,7 +30,6 @@ from .generators import (
     complete_graph,
     cycle_graph,
     deficiency_component,
-    disjoint_union,
     extremal_parameter_grid,
     general_extremal,
     general_extremal_with_partition,

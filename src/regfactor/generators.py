@@ -92,26 +92,19 @@ def deficiency_component(r: int, d: int) -> tuple[Multigraph, int]:
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    if d == 1:
-        g = Multigraph(3)
-        for _ in range(r):
-            g.add_edge(0, 1)
-            g.add_edge(0, 2)
-        for _ in range(r + 1):
-            g.add_edge(1, 2)
-        return g, 0
-    if d == 3:
-        if r == 1:
-            # attachment degree 2r+1-3 = 0: the component is a lone vertex
-            return Multigraph(1), 0
-        g = Multigraph(3)
-        for _ in range(r - 1):
-            g.add_edge(0, 1)
-            g.add_edge(0, 2)
-        for _ in range(r + 2):
-            g.add_edge(1, 2)
-        return g, 0
-    raise ValueError(f"deficiency must be 1 or 3, got {d}")
+    if d not in (1, 3):
+        raise ValueError(f"deficiency must be 1 or 3, got {d}")
+    if r == 1 and d == 3:
+        # attachment degree 2r+1-3 = 0: the component is a lone vertex
+        return Multigraph(1), 0
+    h = (d - 1) // 2  # vertex 0 ends with degree 2(r-h) = 2r+1-d, the others 2r+1
+    g = Multigraph(3)
+    for _ in range(r - h):
+        g.add_edge(0, 1)
+        g.add_edge(0, 2)
+    for _ in range(r + 1 + h):
+        g.add_edge(1, 2)
+    return g, 0
 
 
 def _interior_block(r: int) -> tuple[Multigraph, int, int]:
@@ -132,12 +125,6 @@ def _append(g: Multigraph, other: Multigraph) -> int:
     for _, u, v in other.edges():
         g.add_edge(u + offset, v + offset)
     return offset
-
-
-def disjoint_union(g: Multigraph, h: Multigraph) -> Multigraph:
-    out = g.copy()
-    _append(out, h)
-    return out
 
 
 def blister(g: Multigraph, edge_id: int, h: Multigraph, h_edge_id: int) -> Multigraph:
@@ -277,7 +264,7 @@ def _build_extremal(params: ExtremalParams, rot: int, concentrated: bool, segreg
         g = blister(g, candidates[0], patch, 0)
 
     for _ in range(params.extra_components):
-        g = disjoint_union(g, complete_graph(2 * r + 2))
+        _append(g, complete_graph(2 * r + 2))
     return g, s_verts, t_verts
 
 
@@ -381,17 +368,10 @@ def h_rt(r: int, t: int) -> Multigraph:
     """
     if not 1 <= t < r:
         raise ValueError(f"need 1 <= t < r, got t={t}, r={r}")
-    n = 2 * r + 3
     cyc = 2 * t + 1
-    forbidden = {(min(i, (i + 1) % cyc), max(i, (i + 1) % cyc)) for i in range(cyc)}
-    for j in range(r - t + 1):
-        forbidden.add((cyc + 2 * j, cyc + 2 * j + 1))
-    g = Multigraph(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) not in forbidden:
-                g.add_edge(i, j)
-    return g
+    ring = [(i, (i + 1) % cyc) for i in range(cyc)]
+    pairs = [(cyc + 2 * j, cyc + 2 * j + 1) for j in range(r - t + 1)]
+    return complement(Multigraph.from_edges(2 * r + 3, ring + pairs))
 
 
 def bsw_graph(params: BswParams) -> Multigraph:
@@ -451,8 +431,8 @@ def random_connected_regular_multigraph(n: int, d: int, seed: int, max_tries: in
     raise ValueError(f"no connected {d}-regular sample on {n} vertices after {max_tries} tries")
 
 
-def random_multigraph(n: int, m: int, seed: int, allow_loops: bool = True) -> Multigraph:
-    """m independent uniformly random edges (loops allowed by default)."""
+def random_multigraph(n: int, m: int, seed: int) -> Multigraph:
+    """m independent uniformly random edges; loops and parallel edges are kept."""
     if n < 1 or m < 0:
         raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
     rng = random.Random(seed)
@@ -460,18 +440,12 @@ def random_multigraph(n: int, m: int, seed: int, allow_loops: bool = True) -> Mu
     for _ in range(m):
         u = rng.randrange(n)
         v = rng.randrange(n)
-        while not allow_loops and v == u:
-            v = rng.randrange(n)
         g.add_edge(u, v)
     return g
 
 
 def complete_graph(n: int) -> Multigraph:
-    g = Multigraph(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            g.add_edge(i, j)
-    return g
+    return complement(Multigraph(n))
 
 
 def cycle_graph(n: int) -> Multigraph:

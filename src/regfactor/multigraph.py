@@ -95,13 +95,6 @@ class Multigraph:
         self._check_vertex(v)
         return list(self._inc[v])
 
-    def copy(self) -> "Multigraph":
-        g = Multigraph(self._n)
-        g._edges = list(self._edges)
-        g._inc = [list(lst) for lst in self._inc]
-        g._deg = list(self._deg)
-        return g
-
     def __eq__(self, other: object) -> bool:
         """Same vertex count and same edge multiset (insertion order ignored)."""
         if not isinstance(other, Multigraph):
@@ -195,9 +188,6 @@ class Multigraph:
         return g
 
     # -- convenience --------------------------------------------------------
-
-    def degree_sequence(self) -> list[int]:
-        return list(self._deg)
 
     def regular_degree(self) -> int | None:
         """The common degree if the graph is regular, else None."""

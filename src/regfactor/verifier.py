@@ -279,9 +279,6 @@ def _candidate_partitions(g: Multigraph, k: int, cut: list[int]):
             adj[u].add(v)
             adj[v].add(u)
     free = [v for v in core if not looped[v]]
-
-    yield set(), set(anchors)
-
     budget = ASSIGN_BUDGET
 
     def assign(i: int, s_acc: list[int], t_acc: list[int]) -> Iterator[tuple[set, set]]:
@@ -290,8 +287,7 @@ def _candidate_partitions(g: Multigraph, k: int, cut: list[int]):
             return
         if i == len(free):
             budget -= 1
-            if s_acc or t_acc:
-                yield set(s_acc), anchors | set(t_acc)
+            yield set(s_acc), anchors | set(t_acc)
             return
         v = free[i]
         yield from assign(i + 1, s_acc, t_acc)  # v stays in R
@@ -383,7 +379,7 @@ def verify_main_theorem(g: Multigraph, r: int, k: int, instance: str = "") -> Ve
     )
 
 
-def verify_bsw(params: BswParams, k: int, instance: str = "") -> VerificationReport:
+def verify_bsw(params: BswParams, k: int) -> VerificationReport:
     """Build the clique-block graph and check regularity, connectivity, and
     the 2k-factor boundary 2k(2t+1) <= 2t(2r+1)."""
     if k < 1:
@@ -414,7 +410,7 @@ def verify_bsw(params: BswParams, k: int, instance: str = "") -> VerificationRep
     passed = deg_ok and connectivity_ok and crossings_ok and (expect_factor == (factor is not None))
     millis = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
-        instance=instance or f"bsw-r{r}-t{t}-k{k}",
+        instance=f"bsw-r{r}-t{t}-k{k}",
         r=r,
         k=k,
         p=0,
@@ -473,7 +469,7 @@ def parity_audit(g: Multigraph, k: int, trials: int, seed: int, instance: str = 
     )
 
 
-def verify_extremal_instance(params: ExtremalParams, seed: int = 0, instance: str = "") -> VerificationReport:
+def verify_extremal_instance(params: ExtremalParams, seed: int = 0) -> VerificationReport:
     """One extremal construction: exact cut-edge count, no 2k-factor, a
     passing certificate at the construction partition, full equality ledger."""
     start = time.perf_counter()
@@ -488,8 +484,7 @@ def verify_extremal_instance(params: ExtremalParams, seed: int = 0, instance: st
     passed = p_ok and factor is None and cert.all_conditions_hold and cert.all_equalities_hold
     millis = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
-        instance=instance
-        or f"extremal-r{params.r}-k{params.k}-t{params.size_t}-s{params.size_s}"
+        instance=f"extremal-r{params.r}-k{params.k}-t{params.size_t}-s{params.size_s}"
         f"-b{params.blister_count}-x{params.extra_components}",
         r=params.r,
         k=params.k,
@@ -503,7 +498,7 @@ def verify_extremal_instance(params: ExtremalParams, seed: int = 0, instance: st
     )
 
 
-def verify_control_instance(r: int, k: int, instance: str = "") -> VerificationReport:
+def verify_control_instance(r: int, k: int) -> VerificationReport:
     """Converse control: same cut-edge count, but a 2k-factor exists, so the
     characterization must produce no certificate."""
     start = time.perf_counter()
@@ -513,7 +508,7 @@ def verify_control_instance(r: int, k: int, instance: str = "") -> VerificationR
     passed = cert is None and factor is not None
     millis = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
-        instance=instance or f"control-chain-r{r}-k{k}",
+        instance=f"control-chain-r{r}-k{k}",
         r=r,
         k=k,
         p=len(bridges(g)),
@@ -564,12 +559,12 @@ def bsw_sweep_tasks(r: int, t: int, k: int | None = None) -> list[tuple]:
     return [("bsw", {"r": r, "t": t, "k": kk}) for kk in ks]
 
 
-def parity_sweep_tasks(trials: int, seed: int, per_graph: int = 20) -> list[tuple]:
+def parity_sweep_tasks(trials: int, seed: int) -> list[tuple]:
     tasks = []
     remaining = trials
     i = 0
     while remaining > 0:
-        batch = min(per_graph, remaining)
+        batch = min(20, remaining)  # trials per random graph
         n = 4 + (i % 9)  # 4..12
         if i % 3 == 0:
             d = 3 + 2 * (i % 2)
@@ -625,10 +620,12 @@ def run_task(task: tuple) -> VerificationReport:
 
 def run_tasks(tasks: list[tuple], jobs: int = 1) -> list[VerificationReport]:
     """Execute sweep tasks, optionally across processes; output order is the
-    task order regardless of completion order."""
-    if jobs <= 1:
+    task order regardless of completion order.  At most one worker process
+    per task is started."""
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [run_task(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_task, tasks))

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,9 +14,7 @@ from regfactor import (
     bsw_graph,
     complement,
     complete_graph,
-    cycle_graph,
     deficiency_component,
-    disjoint_union,
     extremal_parameter_grid,
     find_factor,
     general_extremal,
@@ -25,9 +25,11 @@ from regfactor import (
     named_graphs,
     petersen_graph,
     random_connected_regular_multigraph,
+    random_multigraph,
     random_regular_multigraph,
     sylvester_extremal,
     t_odd_profile,
+    to_mgf,
 )
 
 
@@ -185,7 +187,7 @@ def test_general_extremal_seed_determinism():
 def test_h_rt_degrees():
     h = h_rt(2, 1)
     assert h.n == 7
-    assert sorted(h.degree_sequence()) == [4, 4, 4, 5, 5, 5, 5]
+    assert sorted(h.degree(v) for v in range(h.n)) == [4, 4, 4, 5, 5, 5, 5]
     assert h.is_simple()
 
 
@@ -286,12 +288,6 @@ def test_named_catalog():
     assert catalog["cycle"](6).m == 6
 
 
-def test_disjoint_union():
-    g = disjoint_union(complete_graph(4), cycle_graph(3))
-    assert (g.n, g.m) == (7, 9)
-    assert len(g.components()) == 2
-
-
 def test_petersen_is_cubic():
     g = petersen_graph()
     assert g.regular_degree() == 3
@@ -306,3 +302,54 @@ def test_bridged_chain_control(r, k):
     assert len(bridges(g)) == p
     assert is_connected(g)
     assert has_2k_factor(g, k)
+
+
+# -- pinned output ------------------------------------------------------------------
+#
+# The perfbench digests pin factor edge ids and certificate vertex ids, so
+# every family must keep its vertex numbering and its edge-id order, not only
+# its edge multiset.  Each hash is the sha256 of the families' to_mgf texts,
+# concatenated.
+
+RK_PAIRS = [(1, 1), (2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
+RT_PAIRS = [(2, 1), (3, 1), (3, 2), (4, 1)]
+
+PINNED_FAMILIES = {
+    "complete": (
+        lambda: [complete_graph(n) for n in range(2, 9)],
+        "55a06e634e8d2f4ff3ed6160838ab18a797a3cc1bc047b4ebf90addc42e33b37",
+    ),
+    "h_rt": (
+        lambda: [h_rt(r, t) for r, t in RT_PAIRS],
+        "15be0710c051706d315dd84c33d43d05c90096329be3d23c07ffb0ab8374bc94",
+    ),
+    "bsw": (
+        lambda: [bsw_graph(BswParams(r, t)) for r, t in RT_PAIRS],
+        "0cab6cb0f2af90da097ee7ab93791c214677235c5492cedb286e81088744afe5",
+    ),
+    "deficiency": (
+        lambda: [deficiency_component(r, d)[0] for r in range(1, 5) for d in (1, 3)],
+        "68d23420a75a1e462086300018acdf79f584f6186ea26e55215be9b2992c978e",
+    ),
+    "chain": (
+        lambda: [bridged_chain(r, 2 * r + 4 - 3 * k) for r, k in RK_PAIRS],
+        "fa20dbb2cacae706918b963b9d046a0f330f28ba751d5266a1716de5fa65c1ee",
+    ),
+    "extremal": (
+        lambda: [general_extremal(p, 0) for r, k in RK_PAIRS for p in extremal_parameter_grid(r, k)],
+        "3be84ff414ecfc4e1a58bb01328c49707af3a15b794795aa426bdc5f63b63bb7",
+    ),
+    "random": (
+        lambda: [random_multigraph(n, m, seed) for n, m, seed in [(9, 13, 1), (10, 3, 2), (12, 25, 1_000_004)]]
+        + [random_regular_multigraph(n, d, seed) for n, d, seed in [(9, 4, 0), (10, 3, 3), (11, 4, 1_000_012)]]
+        + [random_connected_regular_multigraph(n, d, seed) for n, d, seed in [(30, 3, 0), (30, 9, 1), (80, 5, 2)]],
+        "2a86aa3cf36331790c175d17831d62e8d2577f3720714458800587bba348307f",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_FAMILIES))
+def test_generator_output_pinned(family):
+    build, expected = PINNED_FAMILIES[family]
+    text = "".join(to_mgf(g) for g in build())
+    assert hashlib.sha256(text.encode()).hexdigest() == expected

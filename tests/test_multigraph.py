@@ -165,7 +165,7 @@ def test_degree_sum_partition_identity(g):
 
 def test_mgf_style_equality_and_copy():
     g = complete_graph(4)
-    h = g.copy()
+    h = Multigraph.from_edges(4, [(v, u) for _, u, v in reversed(g.edges())])
     assert g == h
     h.add_edge(0, 0)
     assert g != h

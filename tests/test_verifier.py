@@ -270,3 +270,35 @@ def test_run_tasks_parallel_matches_serial():
         a.pop("millis")
         b.pop("millis")
     assert serial == parallel
+
+
+def test_run_tasks_starts_no_more_workers_than_tasks(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    tasks = main_sweep_tasks(1, 1, trials=2, seed=9)
+    pooled = [rep.to_json() for rep in run_tasks(tasks, jobs=64)]
+    assert started == [2]
+    serial = [rep.to_json() for rep in run_tasks(tasks, jobs=1)]
+    for a, b in zip(pooled, serial):
+        a.pop("millis")
+        b.pop("millis")
+    assert pooled == serial
+    run_tasks(tasks[:1], jobs=64)
+    run_tasks([], jobs=64)
+    assert started == [2]  # one task or none runs in-process
