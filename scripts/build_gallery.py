@@ -6,8 +6,10 @@ Usage: python scripts/build_gallery.py [--out DIR]
 
 import argparse
 import pathlib
+import sys
 
-from regfactor import (
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+from regfactor import (  # noqa: E402
     BswParams,
     ExtremalParams,
     bridged_chain,

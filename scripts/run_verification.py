@@ -11,8 +11,10 @@ for small (r, t), and a parity audit.  Exit code 0 iff everything passed.
 import argparse
 import sys
 import time
+from pathlib import Path
 
-from regfactor.verifier import (
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from regfactor.verifier import (  # noqa: E402
     bsw_sweep_tasks,
     charzn_sweep_tasks,
     main_sweep_tasks,

@@ -1,10 +1,11 @@
 """Maximum cardinality matching in general simple graphs.
 
 Classic blossom algorithm: alternating BFS from each exposed vertex, with
-odd cycles contracted by rebasing vertices onto the cycle's base.  The
-implementation is deterministic — vertices are seeded in id order,
-adjacency is scanned in edge-insertion order, and augmenting paths are
-taken first-found — so equal inputs give equal matchings.
+odd cycles contracted by rebasing vertices onto the cycle's base.  Each
+search, and each contraction within it, starts from freshly allocated
+state.  The implementation is deterministic — vertices are seeded in id
+order, adjacency is scanned in edge-insertion order, and augmenting paths
+are taken first-found — so equal inputs give equal matchings.
 """
 
 from __future__ import annotations
@@ -18,18 +19,13 @@ def max_matching(g: Multigraph) -> set[int]:
     """A maximum matching of a simple graph, as a set of edge ids."""
     if not g.is_simple():
         raise ValueError("maximum matching requires a simple graph")
+    edges = g.edges()
     adj: list[list[int]] = [[] for _ in range(g.n)]
-    pair_eid: dict[tuple[int, int], int] = {}
-    for eid, u, v in g.edges():
+    for _, u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-        pair_eid[(u, v)] = eid
     match = maximum_matching_adjacency(g.n, adj)
-    out = set()
-    for v, u in enumerate(match):
-        if u > v:
-            out.add(pair_eid[(v, u)])
-    return out
+    return {eid for eid, u, v in edges if match[u] == v}
 
 
 def maximum_matching_adjacency(n: int, adj: list[list[int]]) -> list[int]:
@@ -43,38 +39,33 @@ def maximum_matching_adjacency(n: int, adj: list[list[int]]) -> list[int]:
                     match[u] = v
                     break
 
-    p = [-1] * n
-    base = list(range(n))
-    used = [False] * n
-    blossom = [False] * n
-
-    def lca(a: int, b: int) -> int:
-        seen = [False] * n
-        while True:
-            a = base[a]
-            seen[a] = True
-            if match[a] == -1:
-                break
-            a = p[match[a]]
-        while True:
-            b = base[b]
-            if seen[b]:
-                return b
-            b = p[match[b]]
-
-    def mark_path(v: int, b: int, child: int) -> None:
-        while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
-            p[v] = child
-            child = match[v]
-            v = p[match[v]]
-
     def find_path(root: int) -> bool:
-        for i in range(n):
-            used[i] = False
-            p[i] = -1
-            base[i] = i
+        used = [False] * n
+        p = [-1] * n
+        base = list(range(n))
+
+        def lca(a: int, b: int) -> int:
+            seen = set()
+            while True:
+                a = base[a]
+                seen.add(a)
+                if match[a] == -1:
+                    break
+                a = p[match[a]]
+            while True:
+                b = base[b]
+                if b in seen:
+                    return b
+                b = p[match[b]]
+
+        def mark_path(v: int, b: int, child: int) -> None:
+            while base[v] != b:
+                blossom[base[v]] = True
+                blossom[base[match[v]]] = True
+                p[v] = child
+                child = match[v]
+                v = p[match[v]]
+
         used[root] = True
         q = deque([root])
         while q:
@@ -85,8 +76,7 @@ def maximum_matching_adjacency(n: int, adj: list[list[int]]) -> list[int]:
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
                     # odd cycle: contract it onto its base
                     curbase = lca(v, to)
-                    for i in range(n):
-                        blossom[i] = False
+                    blossom = [False] * n
                     mark_path(v, curbase, to)
                     mark_path(to, curbase, v)
                     for i in range(n):

@@ -56,14 +56,12 @@ class Multigraph:
         """Number of edges."""
         return len(self._edges)
 
-    def add_vertex(self) -> int:
-        self._inc.append([])
-        self._deg.append(0)
-        self._n += 1
-        return self._n - 1
-
     def add_vertices(self, count: int) -> list[int]:
-        return [self.add_vertex() for _ in range(count)]
+        new = list(range(self._n, self._n + count))
+        self._inc.extend([] for _ in new)
+        self._deg.extend(0 for _ in new)
+        self._n += len(new)
+        return new
 
     def add_edge(self, u: int, v: int) -> int:
         """Add an edge (u == v makes a loop) and return its id."""

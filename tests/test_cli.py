@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,3 +162,13 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "sylvester", "--r", "x", "--k", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("script", ["run_verification.py", "build_gallery.py"])
+def test_scripts_run_from_plain_checkout(script, tmp_path):
+    # no install and no PYTHONPATH: the script must find the checkout's src/ itself
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    path = Path(__file__).resolve().parent.parent / "scripts" / script
+    proc = subprocess.run([sys.executable, str(path), "--help"], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:")

@@ -25,6 +25,17 @@ def test_degree_deleted_cycle_vertex():
     assert [h.degree(v) for v in range(3, 7)] == [5, 5, 5, 5]
 
 
+def test_add_vertices_appends_isolated_vertices():
+    g = Multigraph.from_edges(2, [(0, 1)])
+    assert g.add_vertices(3) == [2, 3, 4]
+    assert g.n == 5
+    assert [g.degree(v) for v in range(5)] == [1, 1, 0, 0, 0]
+    assert [g.incident(v) for v in range(2, 5)] == [[], [], []]
+    assert g.add_edge(4, 0) == 1
+    assert g.add_vertices(0) == []
+    assert g.n == 5
+
+
 def test_degree_unknown_vertex(k4):
     with pytest.raises(ValueError):
         k4.degree(7)
