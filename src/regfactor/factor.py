@@ -16,7 +16,9 @@ Two independent routes are provided and cross-checked in the test suite:
 
 * ``exhaustive_tutte_oracle`` — evaluates the criterion over all 3^n
   disjoint (S,T) pairs and returns a maximum-deficiency witness if any
-  pair violates it;
+  pair violates it.  For each union S∪T it walks T in Gray-code order,
+  updating q and d as one vertex moves; ties go to the lexicographically
+  smallest (S,T), so the witness does not depend on the scan order;
 * ``find_factor`` — constructs a factor via the standard degree-gadget
   reduction to perfect matching.
 """
@@ -163,9 +165,13 @@ def tutte_deficiency(g: Multigraph, ell: int, s: Iterable[int], t: Iterable[int]
 def exhaustive_tutte_oracle(g: Multigraph, ell: int, cap: int = ORACLE_CAP) -> TutteWitness | None:
     """Scan all disjoint (S,T) pairs for a criterion violation.
 
-    Returns the lexicographically first maximum-deficiency witness, or None
-    when no pair violates the criterion (i.e. an ℓ-factor exists).  The
-    scan is 3^n, so graphs above `cap` vertices are refused.
+    Returns the maximum-deficiency witness whose ``(S, T)`` tuple is
+    lexicographically smallest, or None when no pair violates the criterion
+    (i.e. an ℓ-factor exists).  For each union S∪T the components of the
+    rest are labelled once; T then walks the subsets of the union in
+    Gray-code order, each step moving one vertex v between S and T and
+    updating q and d by v's terms alone.  The tie-break does not depend on
+    that order.  The scan is 3^n, so graphs above `cap` vertices are refused.
     """
     if ell < 1:
         raise ValueError(f"factor degree must be >= 1, got {ell}")
@@ -173,25 +179,32 @@ def exhaustive_tutte_oracle(g: Multigraph, ell: int, cap: int = ORACLE_CAP) -> T
     if n > cap:
         raise ValueError(f"oracle refuses {n} vertices (cap {cap}; the scan is 3^n)")
 
-    nbr = [0] * n  # adjacency masks, loops dropped
     loops = [0] * n
     plain: list[tuple[int, int]] = []
+    # layers[j][v]: the neighbours joined to v by more than j parallel edges
+    layers = [[0] * n]
     for _, u, v in g.edges():
         if u == v:
             loops[u] += 1
-        else:
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
-            plain.append((u, v))
+            continue
+        j = plain.count((u, v))
+        plain.append((u, v))
+        if j == len(layers):
+            layers.append([0] * n)
+        layers[j][u] |= 1 << v
+        layers[j][v] |= 1 << u
+    nbr, deeper = layers[0], layers[1:]
     full = (1 << n) - 1
-    ell_odd = ell % 2 == 1
 
     best: TutteWitness | None = None
+    best_def = 1
     for union in range(full + 1):
         rest = full & ~union
-        # components of the graph minus `union`, as bitmasks
+        # label the components of the graph minus `union`; `odd` marks
+        # those with cross(Q, T) + ℓ|Q| odd while T = ∅
         comp_of = [-1] * n
-        comps: list[int] = []
+        odd = 0
+        idx = 0
         remaining = rest
         while remaining:
             bit = remaining & -remaining
@@ -206,64 +219,54 @@ def exhaustive_tutte_oracle(g: Multigraph, ell: int, cap: int = ORACLE_CAP) -> T
                     nxt |= nbr[b.bit_length() - 1]
                 frontier = nxt & rest & ~seen
                 seen |= frontier
-            idx = len(comps)
-            comps.append(seen)
+            odd |= (ell * seen.bit_count() & 1) << idx
             cm = seen
             while cm:
                 b = cm & -cm
                 cm ^= b
                 comp_of[b.bit_length() - 1] = idx
+            idx += 1
             remaining &= ~seen
-        size_parity = [c.bit_count() & 1 for c in comps]
 
-        # per-component parity masks over `union`, per-vertex edge counts
-        # into the rest, and the list of edges inside `union`
-        pmask = [0] * len(comps)
-        to_rest = [0] * n
-        intra: list[tuple[int, int]] = []
+        # flip[v]: the components whose parity flips as v enters or leaves
+        # T; step[v]: v's edges into the rest + 2·loops - 2ℓ
+        flip = [0] * n
+        step = [2 * (loops[v] - ell) for v in range(n)]
         for u, v in plain:
-            ub, vb = 1 << u, 1 << v
-            u_in = ub & union
-            v_in = vb & union
-            if u_in and v_in:
-                intra.append((ub, vb))
-            elif u_in:
-                pmask[comp_of[v]] ^= ub
-                to_rest[u] += 1
-            elif v_in:
-                pmask[comp_of[u]] ^= vb
-                to_rest[v] += 1
+            if union >> u & 1:
+                if not union >> v & 1:
+                    flip[u] ^= 1 << comp_of[v]
+                    step[u] += 1
+            elif union >> v & 1:
+                flip[v] ^= 1 << comp_of[u]
+                step[v] += 1
 
-        t_mask = union
+        # Gray-code walk from T = ∅, keeping slack = -d - ℓ(|S| - |T|): v
+        # joining T lowers it by step[v] + 2·(edges from v to T), leaving
+        # T raises it by as much
+        members = _bits(union)
+        slack = -ell * len(members)
+        t_mask = 0
+        i = 0
         while True:
-            s_mask = union ^ t_mask
-            q = 0
-            for i, pm in enumerate(pmask):
-                odd = (pm & t_mask).bit_count() & 1
-                if ell_odd:
-                    odd ^= size_parity[i]
-                q += odd
-            d = 0
-            tm = t_mask
-            while tm:
-                b = tm & -tm
-                tm ^= b
-                v = b.bit_length() - 1
-                d += to_rest[v] + 2 * loops[v]
-            for ub, vb in intra:
-                if ub & t_mask and vb & t_mask:
-                    d += 2
-            deficiency = q - d - ell * (s_mask.bit_count() - t_mask.bit_count())
-            if deficiency > 0:
-                if best is None or deficiency > best.deficiency:
-                    best = _witness(s_mask, t_mask, q, d, deficiency)
-                elif deficiency == best.deficiency:
-                    cand = _witness(s_mask, t_mask, q, d, deficiency)
-                    if (cand.S, cand.T) < (best.S, best.T):
-                        best = cand
-            if t_mask == 0:
+            deficiency = odd.bit_count() + slack
+            if deficiency >= best_def:
+                s_mask = union ^ t_mask
+                d = -slack - ell * (s_mask.bit_count() - t_mask.bit_count())
+                cand = _witness(s_mask, t_mask, odd.bit_count(), d, deficiency)
+                if best is None or deficiency > best_def or (cand.S, cand.T) < (best.S, best.T):
+                    best, best_def = cand, deficiency
+            i += 1
+            if i >> len(members):
                 break
-            t_mask = (t_mask - 1) & union
+            v = members[(i & -i).bit_length() - 1]
+            b = 1 << v
+            odd ^= flip[v]
+            c = (nbr[v] & t_mask).bit_count()
+            for layer in deeper:
+                c += (layer[v] & t_mask).bit_count()
+            slack += step[v] + 2 * c if t_mask & b else -step[v] - 2 * c
+            t_mask ^= b
     return best
 
 

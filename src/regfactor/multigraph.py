@@ -57,6 +57,8 @@ class Multigraph:
         return len(self._edges)
 
     def add_vertices(self, count: int) -> list[int]:
+        if count < 0:
+            raise ValueError(f"vertex count must be non-negative, got {count}")
         new = list(range(self._n, self._n + count))
         self._inc.extend([] for _ in new)
         self._deg.extend(0 for _ in new)

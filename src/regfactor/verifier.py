@@ -131,11 +131,13 @@ def _partition_sets(g: Multigraph, cert: PartitionCertificate):
     return rs, ss, ts
 
 
-def check_conditions_a_f(g: Multigraph, r: int, k: int, cert: PartitionCertificate) -> PartitionCertificate:
-    """Evaluate conditions (a)-(f) literally and fill the verdicts."""
+def check_conditions_a_f(
+    g: Multigraph, r: int, k: int, cert: PartitionCertificate, cut: list[int]
+) -> PartitionCertificate:
+    """Evaluate conditions (a)-(f) literally and fill the verdicts; `cut`
+    is g's cut-edge list, ``bridges(g)``."""
     r_set, s_set, t_set = _partition_sets(g, cert)
     deg = 2 * r + 1
-    cut = bridges(g)
     comps, comp_of, to_t, to_s = component_edge_counts(g, s_set, t_set)
 
     cond_a = (
@@ -332,7 +334,7 @@ def characterization_check(g: Multigraph, r: int, k: int) -> PartitionCertificat
         tried.add(key)
         r_tuple = tuple(sorted(set(range(g.n)) - s_set - t_set))
         cert = PartitionCertificate(r_tuple, key[0], key[1])
-        cert = check_conditions_a_f(g, r, k, cert)
+        cert = check_conditions_a_f(g, r, k, cert, cut)
         if cert.all_conditions_hold:
             return replace(cert, equalities=check_extremal_equalities(g, k, s_set, t_set))
     raise ValueError(
@@ -474,12 +476,13 @@ def verify_extremal_instance(params: ExtremalParams, seed: int = 0) -> Verificat
     passing certificate at the construction partition, full equality ledger."""
     start = time.perf_counter()
     g, s_verts, t_verts = general_extremal_with_partition(params, seed)
-    p = len(bridges(g))
+    cut = bridges(g)
+    p = len(cut)
     p_ok = p == params.cut_edges
     factor = find_factor(g, 2 * params.k)
     r_tuple = tuple(sorted(set(range(g.n)) - set(s_verts) - set(t_verts)))
     cert = PartitionCertificate(r_tuple, tuple(sorted(s_verts)), tuple(sorted(t_verts)))
-    cert = check_conditions_a_f(g, params.r, params.k, cert)
+    cert = check_conditions_a_f(g, params.r, params.k, cert, cut)
     cert = replace(cert, equalities=check_extremal_equalities(g, params.k, s_verts, t_verts))
     passed = p_ok and factor is None and cert.all_conditions_hold and cert.all_equalities_hold
     millis = (time.perf_counter() - start) * 1000.0

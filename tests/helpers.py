@@ -7,11 +7,11 @@ check.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import strategies as st
 
-from regfactor import Multigraph
+from regfactor import Multigraph, TutteWitness, q_count, tutte_deficiency
 
 
 @st.composite
@@ -163,6 +163,23 @@ def naive_component_counts(g: Multigraph, s: set[int], t: set[int]):
     to_t = [g.cross_edge_count(set(c), t) for c in comps]
     to_s = [g.cross_edge_count(set(c), s) for c in comps]
     return comps, label, to_t, to_s
+
+
+def naive_oracle(g: Multigraph, ell: int) -> TutteWitness | None:
+    """Score all 3^n role assignments (R, S or T per vertex) with
+    ``tutte_deficiency``; keep the maximum deficiency, ties going to the
+    lexicographically smallest (S, T)."""
+    best = None
+    for roles in product(range(3), repeat=g.n):
+        s = tuple(v for v, role in enumerate(roles) if role == 1)
+        t = tuple(v for v, role in enumerate(roles) if role == 2)
+        deficiency = tutte_deficiency(g, ell, s, t)
+        if deficiency > 0 and (best is None or (-deficiency, s, t) < best):
+            best = (-deficiency, s, t)
+    if best is None:
+        return None
+    neg_deficiency, s, t = best
+    return TutteWitness(s, t, q_count(g, ell, s, t), g.degree_sum_minus(s, t), -neg_deficiency)
 
 
 def brute_vertex_connectivity(g: Multigraph) -> int:

@@ -24,7 +24,7 @@ from regfactor import (
 
 from regfactor.factor import component_edge_counts
 
-from helpers import disjoint_pairs, factor_degrees, multigraphs, naive_component_counts
+from helpers import disjoint_pairs, factor_degrees, multigraphs, naive_component_counts, naive_oracle
 
 
 # -- T-odd component profile ---------------------------------------------------
@@ -231,6 +231,11 @@ def test_oracle_solver_agreement(g, ell):
     assert (witness is None) == (factor is not None)
     if factor is not None:
         assert factor_degrees(g, factor.edge_ids) == [ell] * g.n
+
+
+@given(multigraphs(max_n=7, max_m=12), st.sampled_from([1, 2, 3, 4, 6]))
+def test_oracle_matches_naive_scan(g, ell):
+    assert exhaustive_tutte_oracle(g, ell) == naive_oracle(g, ell)
 
 
 @given(disjoint_pairs(), st.integers(1, 3))

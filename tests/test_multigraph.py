@@ -34,6 +34,10 @@ def test_add_vertices_appends_isolated_vertices():
     assert g.add_edge(4, 0) == 1
     assert g.add_vertices(0) == []
     assert g.n == 5
+    with pytest.raises(ValueError, match="vertex count must be non-negative, got -2"):
+        Multigraph(0).add_vertices(-2)
+    with pytest.raises(ValueError, match="vertex count must be non-negative, got -2"):
+        Multigraph(-2)
 
 
 def test_degree_unknown_vertex(k4):

@@ -27,6 +27,7 @@ from regfactor import (
     verify_extremal_instance,
     verify_main_theorem,
 )
+from regfactor import verifier
 from regfactor.verifier import _orient_bridges, main_sweep_tasks, parity_sweep_tasks, run_task, run_tasks
 
 from helpers import bridged_blocks, multigraphs, naive_bridge_orientation
@@ -71,25 +72,25 @@ def _cert_for(g, s, t):
 
 def test_conditions_figure1(figure1):
     g, s, t = figure1
-    cert = check_conditions_a_f(g, 1, 1, _cert_for(g, s, t))
+    cert = check_conditions_a_f(g, 1, 1, _cert_for(g, s, t), bridges(g))
     assert cert.all_conditions_hold
 
 
 def test_conditions_swapped_sets_fail_a(figure1):
     g, s, t = figure1
-    cert = check_conditions_a_f(g, 1, 1, _cert_for(g, t, s))
+    cert = check_conditions_a_f(g, 1, 1, _cert_for(g, t, s), bridges(g))
     assert not cert.conditions["a"]  # |T| > |S| violated
 
 
 def test_conditions_k4_fail_d(k4):
-    cert = check_conditions_a_f(k4, 1, 1, _cert_for(k4, set(), {0}))
+    cert = check_conditions_a_f(k4, 1, 1, _cert_for(k4, set(), {0}), bridges(k4))
     assert not cert.conditions["d"]
     assert not cert.all_conditions_hold
 
 
 def test_conditions_require_partition(k4):
     with pytest.raises(ValueError, match="partition"):
-        check_conditions_a_f(k4, 1, 1, PartitionCertificate((0, 1), (1,), (2,)))
+        check_conditions_a_f(k4, 1, 1, PartitionCertificate((0, 1), (1,), (2,)), bridges(k4))
 
 
 # -- equality ledger ----------------------------------------------------------------
@@ -178,6 +179,26 @@ def test_characterization_certificates_pinned(params, r_set, s_set, t_set):
         "equalities": [True] * 5,
     }
     assert json.dumps(cert.to_json()) == json.dumps(expected)
+
+
+def test_certificate_search_finds_cut_edges_once(monkeypatch):
+    calls = {"bridges": 0, "candidates": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(verifier, "bridges", counted("bridges", verifier.bridges))
+    monkeypatch.setattr(
+        verifier, "check_conditions_a_f", counted("candidates", verifier.check_conditions_a_f)
+    )
+    params = _PINNED_CERTIFICATES[1][0]
+    assert characterization_check(general_extremal(params), params.r, params.k) is not None
+    # the search's own call and check_extremal_equalities's, not one per candidate
+    assert calls == {"bridges": 2, "candidates": 43}
 
 
 @settings(max_examples=200)
