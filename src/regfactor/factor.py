@@ -72,6 +72,16 @@ class OddComponentProfile:
     q2: int
     q3: int
 
+    @classmethod
+    def from_counts(cls, to_t: list[int], to_s: list[int]) -> "OddComponentProfile":
+        """Classify from per-component edge counts to T and to S."""
+        pairs = list(zip(to_t, to_s))
+        return cls(
+            q1=sum(1 for x, y in pairs if x == 1 and y == 0),
+            q2=sum(1 for x, y in pairs if x == 1 and y > 0),
+            q3=sum(1 for x, _ in pairs if x % 2 == 1 and x > 1),
+        )
+
     @property
     def q(self) -> int:
         return self.q1 + self.q2 + self.q3
@@ -105,14 +115,16 @@ class FactorResult:
 
 def component_edge_counts(
     g: Multigraph, s: Iterable[int], t: Iterable[int]
-) -> tuple[list[list[int]], list[int], list[int], list[int]]:
-    """Label G-S-T once and count each component's edges to T and to S.
+) -> tuple[list[list[int]], list[int], list[int], list[int], list[int]]:
+    """Label G-S-T once and classify every edge by the roles of its two ends.
 
-    Returns ``(comps, label, to_t, to_s)``: the components of G-S-T in the
-    order of ``Multigraph.components``, each vertex's component index (-1
-    for vertices of S and T), and per component the number of edges to T
-    and to S.  As in ``Multigraph.cross_edge_count``, loops never count and
-    parallel edges count with their multiplicity.  S and T must be disjoint.
+    Returns ``(comps, label, to_t, to_s, among)``: the components of G-S-T
+    in the order of ``Multigraph.components``, each vertex's component index
+    (-1 for vertices of S and T), per component the number of edges to T
+    and to S, and ``among = [inside S, between S and T, inside T]``.  As in
+    ``Multigraph.induced_edge_count`` and ``cross_edge_count``, a loop
+    counts once inside its own set and never across, and parallel edges
+    count with their multiplicity.  S and T must be disjoint.
     """
     ss = set(s)
     st = set(t)
@@ -125,40 +137,44 @@ def component_edge_counts(
             label[v] = ci
     to_t = [0] * len(comps)
     to_s = [0] * len(comps)
+    among = [0, 0, 0]
     for _, u, v in g.edges():
         cu, cv = label[u], label[v]
-        if cu >= 0 and cv < 0:
-            (to_t if v in st else to_s)[cu] += 1
-        elif cv >= 0 and cu < 0:
+        if cu < 0 and cv < 0:
+            # both ends in S∪T: the number of ends in T picks the slot
+            among[(u in st) + (v in st)] += 1
+        elif cu < 0:
             (to_t if u in st else to_s)[cv] += 1
-    return comps, label, to_t, to_s
+        elif cv < 0:
+            (to_t if v in st else to_s)[cu] += 1
+    return comps, label, to_t, to_s, among
 
 
 def t_odd_profile(g: Multigraph, s: Iterable[int], t: Iterable[int]) -> OddComponentProfile:
     """Classify the T-odd components of G-S-T by their edge counts to T and S."""
-    _, _, to_t, to_s = component_edge_counts(g, s, t)
-    pairs = list(zip(to_t, to_s))
-    return OddComponentProfile(
-        q1=sum(1 for x, y in pairs if x == 1 and y == 0),
-        q2=sum(1 for x, y in pairs if x == 1 and y > 0),
-        q3=sum(1 for x, _ in pairs if x % 2 == 1 and x > 1),
-    )
+    _, _, to_t, to_s, _ = component_edge_counts(g, s, t)
+    return OddComponentProfile.from_counts(to_t, to_s)
+
+
+def _criterion_terms(g: Multigraph, ell: int, s: set[int], t: set[int]) -> tuple[int, int]:
+    """q(S,T) and d_{G-S}(T) = Σ_{v∈T} deg(v) - e(S,T), from one labelling."""
+    if ell < 1:
+        raise ValueError(f"factor degree must be >= 1, got {ell}")
+    comps, _, to_t, _, (_, s_to_t, _) = component_edge_counts(g, s, t)
+    q = sum((x + ell * len(c)) % 2 for c, x in zip(comps, to_t))
+    return q, sum(g.degree(v) for v in t) - s_to_t
 
 
 def q_count(g: Multigraph, ell: int, s: Iterable[int], t: Iterable[int]) -> int:
     """Number of components Q of G-S-T with cross(Q,T) + ℓ|Q| odd."""
-    if ell < 1:
-        raise ValueError(f"factor degree must be >= 1, got {ell}")
-    comps, _, to_t, _ = component_edge_counts(g, s, t)
-    return sum((x + ell * len(c)) % 2 for c, x in zip(comps, to_t))
+    return _criterion_terms(g, ell, set(s), set(t))[0]
 
 
 def tutte_deficiency(g: Multigraph, ell: int, s: Iterable[int], t: Iterable[int]) -> int:
     """q(S,T) - d_{G-S}(T) - ℓ(|S| - |T|); positive means (S,T) is a witness."""
     ss = set(s)
     st = set(t)
-    q = q_count(g, ell, ss, st)
-    d = g.degree_sum_minus(ss, st)
+    q, d = _criterion_terms(g, ell, ss, st)
     return q - d - ell * (len(ss) - len(st))
 
 

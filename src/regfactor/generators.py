@@ -28,6 +28,9 @@ from .connectivity import bridges, is_connected
 from .factor import tutte_deficiency
 from .multigraph import Multigraph
 
+# Pairing-model samples drawn before the connected sampler gives up.
+MAX_TRIES = 2000
+
 
 @dataclass(frozen=True)
 class ExtremalParams:
@@ -318,16 +321,14 @@ def sylvester_extremal(r: int, k: int) -> Multigraph:
     return general_extremal(ExtremalParams(r, k, size_t=1, size_s=0))
 
 
-def extremal_parameter_grid(
-    r: int, k: int, blisters: tuple[int, ...] = (0, 1, 2), extras: tuple[int, ...] = (0, 1)
-) -> list[ExtremalParams]:
+def extremal_parameter_grid(r: int, k: int) -> list[ExtremalParams]:
     """Every parameter bundle exercised for a given (r, k)."""
     diffs = [1] if 3 * k < 2 * r + 1 else [1, 2]
     grid = []
     for diff in diffs:
         for size_s in (0, 1):
-            for b in blisters if size_s else (0,):
-                for x in extras:
+            for b in (0, 1, 2) if size_s else (0,):
+                for x in (0, 1):
                     grid.append(ExtremalParams(r, k, size_s + diff, size_s, b, x))
     return grid
 
@@ -421,14 +422,14 @@ def random_regular_multigraph(n: int, d: int, seed: int) -> Multigraph:
     return next(_pairing_samples(n, d, seed))
 
 
-def random_connected_regular_multigraph(n: int, d: int, seed: int, max_tries: int = 2000) -> Multigraph:
+def random_connected_regular_multigraph(n: int, d: int, seed: int) -> Multigraph:
     """Resample the pairing model until the graph is connected."""
     if n < 1 or (n * d) % 2 == 1:
         raise ValueError(f"need n >= 1 and n*d even, got n={n}, d={d}")
-    for _, g in zip(range(max_tries), _pairing_samples(n, d, seed)):
+    for _, g in zip(range(MAX_TRIES), _pairing_samples(n, d, seed)):
         if is_connected(g):
             return g
-    raise ValueError(f"no connected {d}-regular sample on {n} vertices after {max_tries} tries")
+    raise ValueError(f"no connected {d}-regular sample on {n} vertices after {MAX_TRIES} tries")
 
 
 def random_multigraph(n: int, m: int, seed: int) -> Multigraph:

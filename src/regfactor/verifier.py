@@ -38,9 +38,9 @@ from .factor import (
     component_edge_counts,
     exhaustive_tutte_oracle,
     find_factor,
-    q_count,
-    t_odd_profile,
+    tutte_deficiency,
     FactorResult,
+    OddComponentProfile,
     TutteWitness,
 )
 from .generators import (
@@ -138,13 +138,9 @@ def check_conditions_a_f(
     is g's cut-edge list, ``bridges(g)``."""
     r_set, s_set, t_set = _partition_sets(g, cert)
     deg = 2 * r + 1
-    comps, comp_of, to_t, to_s = component_edge_counts(g, s_set, t_set)
+    comps, comp_of, to_t, to_s, (inside_s, _, inside_t) = component_edge_counts(g, s_set, t_set)
 
-    cond_a = (
-        g.induced_edge_count(s_set) == 0
-        and g.induced_edge_count(t_set) == 0
-        and len(t_set) > len(s_set)
-    )
+    cond_a = inside_s == 0 and inside_t == 0 and len(t_set) > len(s_set)
 
     cond_b = True
     bridge_comps = []
@@ -159,36 +155,18 @@ def check_conditions_a_f(
     cond_b = cond_b and len(set(bridge_comps)) == len(bridge_comps)
 
     patch_like = {ci for ci in range(len(comps)) if to_s[ci] == 1 and to_t[ci] == 1}
-    cond_c = True
-    for s in s_set:
-        for eid in g.incident(s):
-            u, v = g.edge(eid)
-            other = v if u == s else u
-            if other in t_set:
-                continue
-            if other not in r_set or comp_of[other] not in patch_like:
-                cond_c = False
-                break
-        if not cond_c:
-            break
+    cond_c = inside_s == 0 and all(ci in patch_like for ci in range(len(comps)) if to_s[ci])
 
     cond_d = sum(1 for x in to_t if x == 3) == k * (len(t_set) - len(s_set)) - 1
 
     referenced = set(bridge_comps) | patch_like | {ci for ci in range(len(comps)) if to_t[ci] == 3}
-    cond_e = True
-    for ci, comp in enumerate(comps):
-        if ci in referenced:
-            continue
-        if to_t[ci] or to_s[ci]:
-            cond_e = False
-            break
-        if any(g.degree(v) != deg for v in comp):
-            cond_e = False
-            break
-        cset = set(comp)
-        if any(g.edge(eid)[0] in cset for eid in cut):
-            cond_e = False
-            break
+    cut_comps = {comp_of[g.edge(eid)[0]] for eid in cut}
+    cond_e = all(
+        not (to_t[ci] or to_s[ci] or ci in cut_comps)
+        and all(g.degree(v) == deg for v in comp)
+        for ci, comp in enumerate(comps)
+        if ci not in referenced
+    )
 
     cond_f = 3 * k == 2 * r + 1 or len(t_set) - len(s_set) == 1
 
@@ -205,23 +183,22 @@ def check_conditions_a_f(
     )
 
 
-def check_extremal_equalities(g, k, s, t) -> tuple[bool, bool, bool, bool, bool]:
+def check_extremal_equalities(g, k, s, t, cut) -> tuple[bool, bool, bool, bool, bool]:
     """The five counting equalities that hold with the defining (S, T) of an
     extremal graph: q1 = p, q2 = cross(R,S), q1+q2+3q3 = d_{G-S}(T),
-    (2r+1)|S| = cross(T,S)+cross(R,S), and the |T|-|S| size rule."""
+    (2r+1)|S| = cross(T,S)+cross(R,S), and the |T|-|S| size rule; `cut` is
+    g's cut-edge list, ``bridges(g)``."""
     deg = g.regular_degree()
     if deg is None or deg % 2 == 0 or deg < 3:
         raise ValueError("equality ledger requires a (2r+1)-regular graph")
     s_set, t_set = set(s), set(t)
-    r_set = set(range(g.n)) - s_set - t_set
-    profile = t_odd_profile(g, s_set, t_set)
-    p = len(bridges(g))
-    rs = g.cross_edge_count(r_set, s_set)
-    ts = g.cross_edge_count(t_set, s_set)
-    d = g.degree_sum_minus(s_set, t_set)
+    _, _, to_t, to_s, (_, ts, _) = component_edge_counts(g, s_set, t_set)
+    profile = OddComponentProfile.from_counts(to_t, to_s)
+    rs = sum(to_s)
+    d = deg * len(t_set) - ts
     diff = len(t_set) - len(s_set)
     return (
-        profile.q1 == p,
+        profile.q1 == len(cut),
         profile.q2 == rs,
         profile.q1 + profile.q2 + 3 * profile.q3 == d,
         deg * len(s_set) == ts + rs,
@@ -336,7 +313,7 @@ def characterization_check(g: Multigraph, r: int, k: int) -> PartitionCertificat
         cert = PartitionCertificate(r_tuple, key[0], key[1])
         cert = check_conditions_a_f(g, r, k, cert, cut)
         if cert.all_conditions_hold:
-            return replace(cert, equalities=check_extremal_equalities(g, k, s_set, t_set))
+            return replace(cert, equalities=check_extremal_equalities(g, k, s_set, t_set, cut))
     raise ValueError(
         "graph has no 2k-factor but no certificate partition was found "
         f"within the search budget (tried {len(tried)} candidates)"
@@ -452,9 +429,8 @@ def parity_audit(g: Multigraph, k: int, trials: int, seed: int, instance: str = 
                 s_set.add(v)
             elif roll == 2:
                 t_set.add(v)
-        q = q_count(g, 2 * k, s_set, t_set)
-        d = g.degree_sum_minus(s_set, t_set)
-        if (q - d) % 2 != 0:
+        # for ℓ = 2k the deficiency has the parity of q - d
+        if tutte_deficiency(g, 2 * k, s_set, t_set) % 2:
             violations += 1
     millis = (time.perf_counter() - start) * 1000.0
     deg = g.regular_degree()
@@ -483,7 +459,7 @@ def verify_extremal_instance(params: ExtremalParams, seed: int = 0) -> Verificat
     r_tuple = tuple(sorted(set(range(g.n)) - set(s_verts) - set(t_verts)))
     cert = PartitionCertificate(r_tuple, tuple(sorted(s_verts)), tuple(sorted(t_verts)))
     cert = check_conditions_a_f(g, params.r, params.k, cert, cut)
-    cert = replace(cert, equalities=check_extremal_equalities(g, params.k, s_verts, t_verts))
+    cert = replace(cert, equalities=check_extremal_equalities(g, params.k, s_verts, t_verts, cut))
     passed = p_ok and factor is None and cert.all_conditions_hold and cert.all_equalities_hold
     millis = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
@@ -505,7 +481,9 @@ def verify_control_instance(r: int, k: int) -> VerificationReport:
     """Converse control: same cut-edge count, but a 2k-factor exists, so the
     characterization must produce no certificate."""
     start = time.perf_counter()
-    g = bridged_chain(r, 2 * r + 4 - 3 * k)
+    p = 2 * r + 4 - 3 * k
+    g = bridged_chain(r, p)
+    # characterization_check raises unless g has exactly p cut-edges
     cert = characterization_check(g, r, k)
     factor = find_factor(g, 2 * k)
     passed = cert is None and factor is not None
@@ -514,7 +492,7 @@ def verify_control_instance(r: int, k: int) -> VerificationReport:
         instance=f"control-chain-r{r}-k{k}",
         r=r,
         k=k,
-        p=len(bridges(g)),
+        p=p,
         hypothesis_met=True,
         factor_found=factor is not None,
         passed=passed,

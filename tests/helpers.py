@@ -156,13 +156,79 @@ def naive_bridge_orientation(g: Multigraph, cut: list[int]):
 
 def naive_component_counts(g: Multigraph, s: set[int], t: set[int]):
     """Components of G-S-T, each vertex's component index (-1 on S and T),
-    and per component one full ``cross_edge_count`` rescan toward T and
-    toward S."""
+    per component one full ``cross_edge_count`` rescan toward T and toward
+    S, and [inside S, between S and T, inside T] from three more rescans."""
     comps = g.components(exclude=s | t)
     label = [next((i for i, c in enumerate(comps) if v in c), -1) for v in range(g.n)]
     to_t = [g.cross_edge_count(set(c), t) for c in comps]
     to_s = [g.cross_edge_count(set(c), s) for c in comps]
-    return comps, label, to_t, to_s
+    among = [g.induced_edge_count(s), g.cross_edge_count(s, t), g.induced_edge_count(t)]
+    return comps, label, to_t, to_s, among
+
+
+def naive_conditions(g: Multigraph, r: int, k: int, r_set: set[int], s_set: set[int], t_set: set[int]):
+    """Verdicts of conditions (a)-(f) for the partition (R, S, T), as a dict.
+
+    Condition (a) rescans the edge list for edges inside S and inside T;
+    (c) walks every edge at every S-vertex; component counts come from
+    ``naive_component_counts``."""
+    deg = 2 * r + 1
+    cut = naive_bridges(g)
+    comps, comp_of, to_t, to_s, _ = naive_component_counts(g, s_set, t_set)
+
+    cond_a = (
+        g.induced_edge_count(s_set) == 0
+        and g.induced_edge_count(t_set) == 0
+        and len(t_set) > len(s_set)
+    )
+
+    cond_b = True
+    bridge_comps = []
+    for eid in cut:
+        u, v = g.edge(eid)
+        in_t = [x for x in (u, v) if x in t_set]
+        in_r = [x for x in (u, v) if x in r_set]
+        if len(in_t) != 1 or len(in_r) != 1:
+            cond_b = False
+            break
+        bridge_comps.append(comp_of[in_r[0]])
+    cond_b = cond_b and len(set(bridge_comps)) == len(bridge_comps)
+
+    patch_like = {ci for ci in range(len(comps)) if to_s[ci] == 1 and to_t[ci] == 1}
+    cond_c = True
+    for s in s_set:
+        for eid in g.incident(s):
+            u, v = g.edge(eid)
+            other = v if u == s else u
+            if other in t_set:
+                continue
+            if other not in r_set or comp_of[other] not in patch_like:
+                cond_c = False
+                break
+        if not cond_c:
+            break
+
+    cond_d = sum(1 for x in to_t if x == 3) == k * (len(t_set) - len(s_set)) - 1
+
+    referenced = set(bridge_comps) | patch_like | {ci for ci in range(len(comps)) if to_t[ci] == 3}
+    cond_e = True
+    for ci, comp in enumerate(comps):
+        if ci in referenced:
+            continue
+        if to_t[ci] or to_s[ci]:
+            cond_e = False
+            break
+        if any(g.degree(v) != deg for v in comp):
+            cond_e = False
+            break
+        cset = set(comp)
+        if any(g.edge(eid)[0] in cset for eid in cut):
+            cond_e = False
+            break
+
+    cond_f = 3 * k == 2 * r + 1 or len(t_set) - len(s_set) == 1
+
+    return {"a": cond_a, "b": cond_b, "c": cond_c, "d": cond_d, "e": cond_e, "f": cond_f}
 
 
 def naive_oracle(g: Multigraph, ell: int) -> TutteWitness | None:

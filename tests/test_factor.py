@@ -62,8 +62,8 @@ def test_profile_inequalities(data):
 @given(disjoint_pairs())
 def test_component_edge_counts_match_naive_rescan(data):
     g, s, t = data
-    comps, label, to_t, to_s = naive_component_counts(g, s, t)
-    assert component_edge_counts(g, s, t) == (comps, label, to_t, to_s)
+    comps, label, to_t, to_s, among = naive_component_counts(g, s, t)
+    assert component_edge_counts(g, s, t) == (comps, label, to_t, to_s, among)
     for ell in range(1, 5):
         expected = sum(1 for c, x in zip(comps, to_t) if (x + ell * len(c)) % 2 == 1)
         assert q_count(g, ell, s, t) == expected
@@ -76,9 +76,10 @@ def test_component_edge_counts_match_naive_rescan(data):
 
 
 def test_component_edge_counts_loops_and_parallel_edges():
-    # R = {0, 1}; 0 carries a loop and a double edge to T = {2}, 1 one edge to S = {3}
+    # R = {0, 1}; 0 carries a loop and a double edge to T = {2}, 1 one edge to S = {3};
+    # T's loop counts once inside T, the edge 2-3 once between S and T
     g = Multigraph.from_edges(4, [(0, 0), (0, 1), (0, 2), (0, 2), (1, 3), (2, 2), (2, 3)])
-    assert component_edge_counts(g, {3}, {2}) == ([[0, 1]], [0, 0, -1, -1], [2], [1])
+    assert component_edge_counts(g, {3}, {2}) == ([[0, 1]], [0, 0, -1, -1], [2], [1], [0, 1, 1])
 
 
 # -- parity-criterion component count -------------------------------------------
@@ -111,6 +112,13 @@ def test_deficiency_figure1(figure1):
     g, s, t = figure1
     assert g.degree_sum_minus(s, t) == 7
     assert tutte_deficiency(g, 2, s, t) == 2
+
+
+@given(disjoint_pairs(), st.integers(1, 4))
+def test_deficiency_matches_rescans(data, ell):
+    g, s, t = data
+    expected = q_count(g, ell, s, t) - g.degree_sum_minus(s, t) - ell * (len(s) - len(t))
+    assert tutte_deficiency(g, ell, s, t) == expected
 
 
 def test_deficiency_k4_never_positive(k4):

@@ -168,7 +168,8 @@ def test_general_extremal_params_validation():
 
 @pytest.mark.parametrize("r, k", [(1, 1), (2, 1), (3, 2), (4, 3)])
 def test_general_extremal_grid_bridge_counts(r, k):
-    for params in extremal_parameter_grid(r, k, blisters=(0, 1), extras=(0,)):
+    grid = extremal_parameter_grid(r, k)
+    for params in [p for p in grid if p.blister_count <= 1 and p.extra_components == 0]:
         g = general_extremal(params)
         assert g.regular_degree() == 2 * r + 1
         assert len(bridges(g)) == 2 * r + 4 - 3 * k
@@ -258,8 +259,9 @@ def test_connected_sampler_resample_stream_pinned():
 
 
 def test_connected_sampler_gives_up_after_max_tries():
-    with pytest.raises(ValueError, match="after 3 tries"):
-        random_connected_regular_multigraph(6, 1, seed=0, max_tries=3)
+    # a 1-regular graph on 6 vertices is never connected
+    with pytest.raises(ValueError, match="after 2000 tries"):
+        random_connected_regular_multigraph(6, 1, seed=0)
 
 
 # -- named graphs and controls --------------------------------------------------------

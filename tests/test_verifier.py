@@ -30,7 +30,7 @@ from regfactor import (
 from regfactor import verifier
 from regfactor.verifier import _orient_bridges, main_sweep_tasks, parity_sweep_tasks, run_task, run_tasks
 
-from helpers import bridged_blocks, multigraphs, naive_bridge_orientation
+from helpers import bridged_blocks, multigraphs, naive_bridge_orientation, naive_conditions
 
 
 # -- guarantee -------------------------------------------------------------------
@@ -93,34 +93,48 @@ def test_conditions_require_partition(k4):
         check_conditions_a_f(k4, 1, 1, PartitionCertificate((0, 1), (1,), (2,)), bridges(k4))
 
 
+@settings(max_examples=300)
+@given(st.one_of(multigraphs(max_n=10, max_m=14), bridged_blocks()), st.data())
+def test_conditions_match_naive(g, data):
+    # every verdict, failing partitions included: verify_extremal_instance
+    # reports all six
+    roles = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+    r = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, (2 * r + 1) // 3))
+    r_set, s_set, t_set = ({v for v, role in enumerate(roles) if role == i} for i in range(3))
+    cert = check_conditions_a_f(g, r, k, _cert_for(g, s_set, t_set), bridges(g))
+    assert cert.conditions == naive_conditions(g, r, k, r_set, s_set, t_set)
+
+
 # -- equality ledger ----------------------------------------------------------------
 
 
 def test_equalities_figure1(figure1):
     g, s, t = figure1
-    assert check_extremal_equalities(g, 1, s, t) == (True, True, True, True, True)
+    assert check_extremal_equalities(g, 1, s, t, bridges(g)) == (True, True, True, True, True)
 
 
 def test_equalities_k4_single_vertex(k4):
     # q1 = p = 0 holds; K_4-{v} is one triple-attached component, so the
     # remaining counts balance too: the ledger alone does not certify
     # extremality (the criterion slack does)
-    assert check_extremal_equalities(k4, 1, set(), {0}) == (True, True, True, True, True)
+    assert check_extremal_equalities(k4, 1, set(), {0}, bridges(k4)) == (True, True, True, True, True)
 
 
 def test_equalities_k4_two_vertices(k4):
-    eqs = check_extremal_equalities(k4, 1, set(), {0, 1})
+    eqs = check_extremal_equalities(k4, 1, set(), {0, 1}, bridges(k4))
     assert eqs[2] is False  # q1+q2+3q3 = 0 but d_{G-S}(T) = 6
 
 
 def test_equalities_require_regular():
+    g = Multigraph.from_edges(3, [(0, 1)])
     with pytest.raises(ValueError, match="regular"):
-        check_extremal_equalities(Multigraph.from_edges(3, [(0, 1)]), 1, set(), {0})
+        check_extremal_equalities(g, 1, set(), {0}, bridges(g))
 
 
 def test_equalities_overlap_rejected(k4):
     with pytest.raises(ValueError, match="overlap"):
-        check_extremal_equalities(k4, 1, {0, 1}, {1})
+        check_extremal_equalities(k4, 1, {0, 1}, {1}, bridges(k4))
 
 
 # -- characterization, both directions ------------------------------------------------
@@ -197,8 +211,8 @@ def test_certificate_search_finds_cut_edges_once(monkeypatch):
     )
     params = _PINNED_CERTIFICATES[1][0]
     assert characterization_check(general_extremal(params), params.r, params.k) is not None
-    # the search's own call and check_extremal_equalities's, not one per candidate
-    assert calls == {"bridges": 2, "candidates": 43}
+    # the search's own call, not one per candidate or per equality ledger
+    assert calls == {"bridges": 1, "candidates": 43}
 
 
 @settings(max_examples=200)
