@@ -30,6 +30,8 @@ def from_mgf(text: str) -> Multigraph:
         n, m = int(head[1]), int(head[2])
     except ValueError:
         raise ValueError("mgf parse error (line 1): n and m must be integers") from None
+    if n < 0 or m < 0:
+        raise ValueError("mgf parse error (line 1): n and m must be non-negative")
     body = [ln for ln in lines[1:]]
     # Tolerate trailing blank lines only.
     while body and not body[-1].strip():

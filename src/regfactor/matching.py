@@ -1,11 +1,18 @@
 """Maximum cardinality matching in general simple graphs.
 
 Classic blossom algorithm: alternating BFS from each exposed vertex, with
-odd cycles contracted by rebasing vertices onto the cycle's base.  Each
-search, and each contraction within it, starts from freshly allocated
-state.  The implementation is deterministic — vertices are seeded in id
-order, adjacency is scanned in edge-insertion order, and augmenting paths
-are taken first-found — so equal inputs give equal matchings.
+odd cycles contracted by rebasing vertices onto the cycle's base.  The
+search state (`used`, `p`, `base`) is allocated once per call.  Each search
+records in `tree` every node whose entries it sets — the root, every node
+that gets a parent (the exposed endpoint of an augmenting path included)
+and every mate of such a node — and resets exactly those entries when it
+ends, so the next search starts from clean state.  Only tree nodes can have
+their base on a contracted cycle, so a contraction relabels the tree alone;
+it walks the tree in id order, which queues nodes in the order a scan of
+all n nodes would.  The implementation is deterministic — vertices are
+seeded in id order, adjacency is scanned in edge-insertion order, and
+augmenting paths are taken first-found — so equal inputs give equal
+matchings.
 """
 
 from __future__ import annotations
@@ -39,10 +46,12 @@ def maximum_matching_adjacency(n: int, adj: list[list[int]]) -> list[int]:
                     match[u] = v
                     break
 
+    used = [False] * n
+    p = [-1] * n
+    base = list(range(n))
+
     def find_path(root: int) -> bool:
-        used = [False] * n
-        p = [-1] * n
-        base = list(range(n))
+        tree = [root]  # every node whose used/p/base entries this search sets
 
         def lca(a: int, b: int) -> int:
             seen = set()
@@ -60,45 +69,54 @@ def maximum_matching_adjacency(n: int, adj: list[list[int]]) -> list[int]:
 
         def mark_path(v: int, b: int, child: int) -> None:
             while base[v] != b:
-                blossom[base[v]] = True
-                blossom[base[match[v]]] = True
+                blossom.add(base[v])
+                blossom.add(base[match[v]])
                 p[v] = child
                 child = match[v]
                 v = p[match[v]]
 
         used[root] = True
         q = deque([root])
-        while q:
-            v = q.popleft()
-            for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    # odd cycle: contract it onto its base
-                    curbase = lca(v, to)
-                    blossom = [False] * n
-                    mark_path(v, curbase, to)
-                    mark_path(to, curbase, v)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = curbase
-                            if not used[i]:
-                                used[i] = True
-                                q.append(i)
-                elif p[to] == -1:
-                    p[to] = v
-                    if match[to] == -1:
-                        # augment along the alternating path back to root
-                        while to != -1:
-                            pv = p[to]
-                            ppv = match[pv]
-                            match[to] = pv
-                            match[pv] = to
-                            to = ppv
-                        return True
-                    used[match[to]] = True
-                    q.append(match[to])
-        return False
+        try:
+            while q:
+                v = q.popleft()
+                for to in adj[v]:
+                    if base[v] == base[to] or match[v] == to:
+                        continue
+                    if to == root or (match[to] != -1 and p[match[to]] != -1):
+                        # odd cycle: contract it onto its base
+                        curbase = lca(v, to)
+                        blossom = set()
+                        mark_path(v, curbase, to)
+                        mark_path(to, curbase, v)
+                        tree.sort()  # id order fixes the queue order, and so the mates
+                        for i in tree:
+                            if base[i] in blossom:
+                                base[i] = curbase
+                                if not used[i]:
+                                    used[i] = True
+                                    q.append(i)
+                    elif p[to] == -1:
+                        p[to] = v
+                        tree.append(to)
+                        if match[to] == -1:
+                            # augment along the alternating path back to root
+                            while to != -1:
+                                pv = p[to]
+                                ppv = match[pv]
+                                match[to] = pv
+                                match[pv] = to
+                                to = ppv
+                            return True
+                        used[match[to]] = True
+                        tree.append(match[to])
+                        q.append(match[to])
+            return False
+        finally:
+            for v in tree:
+                used[v] = False
+                p[v] = -1
+                base[v] = v
 
     for v in range(n):
         if match[v] == -1:

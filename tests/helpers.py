@@ -7,6 +7,8 @@ check.
 
 from __future__ import annotations
 
+import random
+from collections import deque
 from itertools import combinations, product
 
 from hypothesis import strategies as st
@@ -289,6 +291,132 @@ def brute_max_matching_size(g: Multigraph) -> int:
 
     rec(0, set(), 0)
     return best
+
+
+@st.composite
+def blossom_graphs(draw, max_n: int = 40):
+    """(n, adj) for a simple graph of several components — odd cycles with a
+    tail and pendant vertices, and random blocks — plus a few edges across
+    them, with shuffled ids and edge order.  Pendants are numbered last and
+    their edges come last in every adjacency list, so the greedy seed
+    matches the cycles first and leaves pendants exposed: exits from a
+    contracted blossom, taken in the order the contraction queued the
+    blossom's nodes.  The search runs often, contracts often and often fails."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges: list[tuple[int, int]] = []
+    exits: list[tuple[int, int]] = []
+    n = 0
+    for _ in range(draw(st.integers(1, 8))):
+        if n >= max_n - 2:
+            break
+        if draw(st.integers(0, 2)):
+            cycle = min(draw(st.sampled_from([5, 7])), max_n - n)
+            size = min(cycle + draw(st.integers(0, 4)), max_n - n)
+            edges += [(n + i, n + i + 1) for i in range(size - 1)] + [(n, n + cycle - 1)]
+            for v in range(n, n + cycle):
+                if n + size < max_n and rng.random() < 0.5:
+                    exits.append((v, n + size))
+                    size += 1
+        else:
+            size = min(draw(st.integers(2, 10)), max_n - n)
+            density = draw(st.sampled_from([0.2, 0.5, 0.8]))
+            edges += [pair for pair in combinations(range(n, n + size), 2) if rng.random() < density]
+        n += size
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = sorted(rng.sample(range(n), 2))
+        if (a, b) not in edges and (a, b) not in exits:
+            edges.append((a, b))
+    pendants = [x for _, x in exits]
+    core = sorted(set(range(n)) - set(pendants))
+    for part in (core, pendants, edges, exits):
+        rng.shuffle(part)
+    label = [0] * n
+    for new_id, v in enumerate(core + pendants):
+        label[v] = new_id
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges + exits:
+        adj[label[u]].append(label[v])
+        adj[label[v]].append(label[u])
+    return n, adj
+
+
+def reference_blossom_mates(n: int, adj: list[list[int]]) -> list[int]:
+    """The blossom matching with fresh state for every search and a relabel
+    scan over all n nodes per contraction; returns the mate array."""
+    match = [-1] * n
+    for v in range(n):  # greedy seed keeps augmentation phases rare
+        if match[v] == -1:
+            for u in adj[v]:
+                if match[u] == -1:
+                    match[v] = u
+                    match[u] = v
+                    break
+
+    def find_path(root: int) -> bool:
+        used = [False] * n
+        p = [-1] * n
+        base = list(range(n))
+
+        def lca(a: int, b: int) -> int:
+            seen = set()
+            while True:
+                a = base[a]
+                seen.add(a)
+                if match[a] == -1:
+                    break
+                a = p[match[a]]
+            while True:
+                b = base[b]
+                if b in seen:
+                    return b
+                b = p[match[b]]
+
+        def mark_path(v: int, b: int, child: int) -> None:
+            while base[v] != b:
+                blossom[base[v]] = True
+                blossom[base[match[v]]] = True
+                p[v] = child
+                child = match[v]
+                v = p[match[v]]
+
+        used[root] = True
+        q = deque([root])
+        while q:
+            v = q.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and p[match[to]] != -1):
+                    # odd cycle: contract it onto its base
+                    curbase = lca(v, to)
+                    blossom = [False] * n
+                    mark_path(v, curbase, to)
+                    mark_path(to, curbase, v)
+                    for i in range(n):
+                        if blossom[base[i]]:
+                            base[i] = curbase
+                            if not used[i]:
+                                used[i] = True
+                                q.append(i)
+                elif p[to] == -1:
+                    p[to] = v
+                    if match[to] == -1:
+                        # augment along the alternating path back to root
+                        while to != -1:
+                            pv = p[to]
+                            ppv = match[pv]
+                            match[to] = pv
+                            match[pv] = to
+                            to = ppv
+                        return True
+                    used[match[to]] = True
+                    q.append(match[to])
+        return False
+
+    for v in range(n):
+        if match[v] == -1:
+            find_path(v)
+    return match
 
 
 def factor_degrees(g: Multigraph, edge_ids) -> list[int]:

@@ -39,11 +39,15 @@ def test_mgf_round_trip(g):
         ("mgf 2 1\n0\n", 2),
         ("mgf 2 1\n0 5\n", 2),
         ("mgf 2 2\n0 1\n", 3),
+        ("mgf -1 0\n", 1),
+        ("mgf 3 -1\n", 1),
     ],
 )
 def test_mgf_parse_errors_carry_line_numbers(text, line):
-    with pytest.raises(ValueError, match=f"line {line}"):
+    with pytest.raises(ValueError, match=f"line {line}") as err:
         from_mgf(text)
+    if " -" in text:  # a negative header count
+        assert "non-negative" in str(err.value)
 
 
 def test_graph6_known_strings():

@@ -2,7 +2,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from regfactor import (
     BswParams,
@@ -15,9 +15,16 @@ from regfactor import (
     petersen_graph,
     random_connected_regular_multigraph,
 )
+from regfactor.matching import maximum_matching_adjacency
 from regfactor.verifier import main_sweep_tasks
 
-from helpers import brute_max_matching_size, factor_degrees, simple_graphs
+from helpers import (
+    blossom_graphs,
+    brute_max_matching_size,
+    factor_degrees,
+    reference_blossom_mates,
+    simple_graphs,
+)
 
 
 def test_small_graphs(k4, c5):
@@ -62,6 +69,16 @@ def test_empty_graph():
     assert max_matching(cycle_graph(3).induced_subgraph(())) == set()
 
 
+@settings(max_examples=1000)
+@given(blossom_graphs())
+def test_mates_match_reference(graph):
+    # Past the brute-force range: the whole mate array, not only its size,
+    # must equal the fresh-state search's.  Searches share one set of state
+    # arrays, so a search that leaves an entry set misleads the next one.
+    n, adj = graph
+    assert maximum_matching_adjacency(n, adj) == reference_blossom_mates(n, adj)
+
+
 # -- pinned output ------------------------------------------------------------------
 #
 # find_factor maps matched gadget edges back to factor edges, and the perfbench
@@ -90,3 +107,17 @@ def test_matching_output_pinned():
     assert len(matchings) == 47
     digest = hashlib.sha256(json.dumps(matchings).encode()).hexdigest()
     assert digest == "1272c7c723f17a297d1351605d99c998576a08635c3e50ca54776c7ef0972b1f"
+
+
+def test_large_gadget_matching_output_pinned():
+    # The seed-0 n = 80 and n = 240 guarantee gadgets that perfbench runs,
+    # where nearly all searches and contractions happen.
+    matchings = []
+    for r, k in RK_PAIRS:
+        for _, a in main_sweep_tasks(r, k, 7, 0, (30,) * 5 + (80, 240)):
+            if a["n"] != 30:
+                g = random_connected_regular_multigraph(a["n"], 2 * r + 1, a["seed"])
+                matchings.append(sorted(max_matching(build_factor_gadget(g, 2 * k)[0])))
+    assert len(matchings) == 14
+    digest = hashlib.sha256(json.dumps(matchings).encode()).hexdigest()
+    assert digest == "e8cd93763501a84a3a65d7277baab5a11cea23842959bddaf99b2c9c3cdf8c39"
