@@ -5,18 +5,18 @@ remembers the edge id (not the parent vertex) used to enter a vertex, so a
 parallel copy of the entry edge correctly cancels bridge status.  Loops are
 never bridges.
 
-Edge and vertex connectivity are computed by maximum flow.  Parallel edges
-act as capacity multiplicity for edge connectivity.  Vertex connectivity
-uses the usual vertex-splitting construction over non-adjacent pairs, with
-the complete-graph convention K_n -> n - 1; parallel edges collapse to one
-adjacency.  Following Even (SIAM J. Comput. 1975), flow sources stop at the
-running minimum, so at most kappa + 1 vertices serve as sources instead of
-all n.
+Edge and vertex connectivity are computed by maximum flow on one residual
+network per call, made of unit arcs: arc a and its reverse a ^ 1 sit side
+by side, and each (s, t) flow uses up a fresh copy of the capacities.  For
+edge connectivity each parallel copy of an edge is its own unit arc in each
+direction.  Vertex connectivity uses the usual vertex-splitting
+construction over non-adjacent pairs, with the complete-graph convention
+K_n -> n - 1; parallel edges collapse to one adjacency.  Following Even
+(SIAM J. Comput. 1975), flow sources stop at the running minimum, so at
+most kappa + 1 vertices serve as sources instead of all n.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .multigraph import Multigraph
 
@@ -73,41 +73,46 @@ def is_connected(g: Multigraph) -> bool:
     return len(g.components()) == 1
 
 
-def _bfs_augment(cap: dict[int, dict[int, int]], s: int, t: int) -> int:
-    """One shortest augmenting path; returns the pushed amount (0 if none)."""
-    parent = {s: -1}
-    q = deque([s])
-    while q:
-        v = q.popleft()
-        if v == t:
-            break
-        for w, c in cap[v].items():
-            if c > 0 and w not in parent:
-                parent[w] = v
-                q.append(w)
-    if t not in parent:
-        return 0
-    path = []
-    v = t
-    while v != s:
-        path.append((parent[v], v))
-        v = parent[v]
-    pushed = min(cap[u][w] for u, w in path)
-    for u, w in path:
-        cap[u][w] -= pushed
-        cap[w].setdefault(u, 0)
-        cap[w][u] += pushed
-    return pushed
+def _network(size: int, arcs: list[tuple[int, int]]) -> tuple[list[list[int]], list[int], list[int]]:
+    """Residual network on nodes 0..size-1 with one unit arc per (u, w).
+
+    Returns `out` (arc ids leaving each node), `head` and `cap`.  Arc a
+    leads to head[a]; its reverse is a ^ 1, with capacity 0.
+    """
+    out: list[list[int]] = [[] for _ in range(size)]
+    head: list[int] = []
+    for u, w in arcs:
+        out[u].append(len(head))
+        out[w].append(len(head) + 1)
+        head += (w, u)
+    return out, head, [1, 0] * len(arcs)
 
 
-def _max_flow(cap: dict[int, dict[int, int]], s: int, t: int, limit: int) -> int:
-    """Max flow value, stopping early once `limit` is reached."""
+def _max_flow(out: list[list[int]], head: list[int], cap: list[int], s: int, t: int, limit: int) -> int:
+    """Max flow from s to t by shortest augmenting paths, stopping once
+    `limit` is reached.  Uses up `cap`."""
     flow = 0
     while flow < limit:
-        pushed = _bfs_augment(cap, s, t)
-        if pushed == 0:
-            break
-        flow += pushed
+        via = [-1] * len(out)  # the arc that reached each node
+        via[s] = len(head)  # reached; the walk back stops before reading it
+        queue = [s]
+        for v in queue:
+            for a in out[v]:
+                w = head[a]
+                if cap[a] and via[w] < 0:
+                    via[w] = a
+                    queue.append(w)
+            if via[t] >= 0:
+                break
+        else:
+            return flow
+        v = t
+        while v != s:
+            a = via[v]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            v = head[a ^ 1]
+        flow += 1
     return flow
 
 
@@ -115,24 +120,11 @@ def edge_connectivity(g: Multigraph) -> int:
     """Minimum number of edges whose removal disconnects g."""
     if g.n < 2:
         raise ValueError("edge connectivity requires at least 2 vertices")
-    if not is_connected(g):
-        return 0
-
-    def build() -> dict[int, dict[int, int]]:
-        cap: dict[int, dict[int, int]] = {v: {} for v in range(g.n)}
-        for _, u, v in g.edges():
-            if u == v:
-                continue
-            cap[u][v] = cap[u].get(v, 0) + 1
-            cap[v][u] = cap[v].get(u, 0) + 1
-        return cap
-
+    arcs = [arc for _, u, v in g.edges() if u != v for arc in ((u, v), (v, u))]
+    out, head, cap = _network(g.n, arcs)
     best = min(g.degree(v) for v in range(g.n))
     for t in range(1, g.n):
-        flow = _max_flow(build(), 0, t, best)
-        best = min(best, flow)
-        if best == 0:
-            break
+        best = min(best, _max_flow(out, head, cap[:], 0, t, best))
     return best
 
 
@@ -140,7 +132,10 @@ def vertex_connectivity(g: Multigraph) -> int:
     """Minimum vertex cut size of a loop-free graph; K_n gives n - 1.
 
     Parallel edges are collapsed into one adjacency, so a multigraph has the
-    vertex connectivity of its underlying simple graph.
+    vertex connectivity of its underlying simple graph.  Vertex v becomes
+    the arc 2v -> 2v+1 and each adjacency u-w the arcs 2u+1 -> 2w and
+    2w+1 -> 2u.  A flow from 2s+1 to 2t passes at most one unit through any
+    other vertex, so unit arcs count vertex-disjoint s-t paths.
 
     Flow sources run s = 0, 1, ... while s < best (Even's "i <= k", counted
     from 1), each against every non-adjacent target t > s.  This is exact:
@@ -156,35 +151,19 @@ def vertex_connectivity(g: Multigraph) -> int:
         raise ValueError("vertex connectivity is defined for loop-free graphs")
     if g.n < 2:
         raise ValueError("vertex connectivity requires at least 2 vertices")
-    adj: list[set[int]] = [set() for _ in range(g.n)]
+    n = g.n
+    adj: list[set[int]] = [set() for _ in range(n)]
     for _, u, v in g.edges():
         adj[u].add(v)
         adj[v].add(u)
-    n = g.n
-    if all(len(adj[v]) == n - 1 for v in range(n)):
-        return n - 1
-    if not is_connected(g):
-        return 0
-
-    big = n  # enough: any vertex cut has size < n
-    def split_flow(s: int, t: int, limit: int) -> int:
-        # node 2v = "in", 2v+1 = "out"; internal capacity 1 except s, t
-        cap: dict[int, dict[int, int]] = {i: {} for i in range(2 * n)}
-        for v in range(n):
-            cap[2 * v][2 * v + 1] = big if v in (s, t) else 1
-        for u in range(n):
-            for w in adj[u]:
-                cap[2 * u + 1][2 * w] = big
-        return _max_flow(cap, 2 * s + 1, 2 * t, limit)
-
+    arcs = [(2 * v, 2 * v + 1) for v in range(n)]
+    arcs += [(2 * u + 1, 2 * w) for u in range(n) for w in adj[u]]
+    out, head, cap = _network(2 * n, arcs)
     best = n - 1
     s = 0
     while s < best:
         for t in range(s + 1, n):
-            if t in adj[s]:
-                continue
-            best = min(best, split_flow(s, t, best))
-            if best == 0:
-                return 0
+            if t not in adj[s]:
+                best = min(best, _max_flow(out, head, cap[:], 2 * s + 1, 2 * t, best))
         s += 1
     return best

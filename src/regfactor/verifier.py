@@ -282,6 +282,11 @@ def _candidate_partitions(g: Multigraph, k: int, cut: list[int]):
     yield from assign(0, [], [])
 
 
+def _check_rk(r: int, k: int) -> None:
+    if k < 1 or 3 * k > 2 * r + 1:
+        raise ValueError(f"k must satisfy 1 <= k <= (2r+1)/3, got k={k}")
+
+
 def characterization_check(g: Multigraph, r: int, k: int) -> PartitionCertificate | None:
     """Both directions of the extremal characterization on one graph.
 
@@ -291,8 +296,7 @@ def characterization_check(g: Multigraph, r: int, k: int) -> PartitionCertificat
     by the bridge structure, and returns it with the equality ledger
     attached.
     """
-    if k < 1 or 3 * k > 2 * r + 1:
-        raise ValueError(f"k must satisfy 1 <= k <= (2r+1)/3, got k={k}")
+    _check_rk(r, k)
     deg = 2 * r + 1
     if g.regular_degree() != deg:
         raise ValueError(f"characterization applies to {deg}-regular graphs")
@@ -333,8 +337,7 @@ def verify_main_theorem(g: Multigraph, r: int, k: int, instance: str = "") -> Ve
     deg = 2 * r + 1
     if g.regular_degree() != deg:
         raise ValueError(f"graph is not {deg}-regular")
-    if k < 1 or 3 * k > 2 * r + 1:
-        raise ValueError(f"k must satisfy 1 <= k <= (2r+1)/3, got k={k}")
+    _check_rk(r, k)
     start = time.perf_counter()
     p = len(bridges(g))
     hypothesis = p <= 2 * r - 3 * (k - 1)
@@ -505,6 +508,9 @@ def verify_control_instance(r: int, k: int) -> VerificationReport:
 
 
 def main_sweep_tasks(r: int, k: int, trials: int, seed: int, sizes=(6, 8, 10, 12, 14)) -> list[tuple]:
+    _check_rk(r, k)
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     return [
         ("main", {"r": r, "k": k, "n": sizes[i % len(sizes)], "seed": seed * 1_000_003 + i, "index": i})
         for i in range(trials)
@@ -541,6 +547,8 @@ def bsw_sweep_tasks(r: int, t: int, k: int | None = None) -> list[tuple]:
 
 
 def parity_sweep_tasks(trials: int, seed: int) -> list[tuple]:
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     tasks = []
     remaining = trials
     i = 0

@@ -272,6 +272,15 @@ def brute_vertex_connectivity(g: Multigraph) -> int:
     return g.n - 1
 
 
+def brute_edge_connectivity(g: Multigraph) -> int:
+    """Fewest edges crossing a bipartition of the vertices into two
+    non-empty sides; parallel edges count once each and loops never cross."""
+    best = g.m
+    for mask in range(1, 2 ** (g.n - 1)):  # vertex n - 1 stays on side 0
+        best = min(best, sum((mask >> u & 1) != (mask >> v & 1) for _, u, v in g.edges()))
+    return best
+
+
 def brute_max_matching_size(g: Multigraph) -> int:
     """Exponential search over non-loop edge subsets."""
     edges = [(u, v) for _, u, v in g.edges() if u != v]

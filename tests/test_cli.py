@@ -164,6 +164,23 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [("main", "--r", "1", "--k", "1", "--trials", "-1"), ("parity", "--trials", "-3")]
+)
+def test_verify_negative_trials_exit_2(capsys, argv):
+    code, stdout, stderr = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert stdout == ""
+    assert "trials must be non-negative" in stderr
+
+
+def test_verify_main_rejects_bad_rk_before_sampling(capsys):
+    code, stdout, stderr = run_cli(capsys, "verify", "main", "--r", "0", "--k", "1", "--trials", "2")
+    assert code == 2
+    assert stdout == ""
+    assert "k must satisfy 1 <= k <= (2r+1)/3" in stderr
+
+
 @pytest.mark.parametrize("script", ["run_verification.py", "build_gallery.py"])
 def test_scripts_run_from_plain_checkout(script, tmp_path):
     # no install and no PYTHONPATH: the script must find the checkout's src/ itself

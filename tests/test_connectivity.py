@@ -16,7 +16,14 @@ from regfactor import (
     vertex_connectivity,
 )
 
-from helpers import brute_vertex_connectivity, multigraphs, naive_bridges, simple_graphs, without_edge
+from helpers import (
+    brute_edge_connectivity,
+    brute_vertex_connectivity,
+    multigraphs,
+    naive_bridges,
+    simple_graphs,
+    without_edge,
+)
 
 
 def test_bridges_trivial(k4):
@@ -99,6 +106,21 @@ def test_vertex_connectivity_matches_brute_separator(g):
     if g.n < 2:
         return
     assert vertex_connectivity(g) == brute_vertex_connectivity(g)
+
+
+@given(multigraphs(max_n=7))
+def test_edge_connectivity_matches_brute_bipartition(g):
+    if g.n < 2:
+        return
+    assert edge_connectivity(g) == brute_edge_connectivity(g)
+
+
+@given(multigraphs(max_n=7, allow_loops=False))
+def test_vertex_connectivity_of_multigraph_is_that_of_simple_graph(g):
+    if g.n < 2:
+        return
+    simple = Multigraph.from_edges(g.n, sorted({(min(u, v), max(u, v)) for _, u, v in g.edges()}))
+    assert vertex_connectivity(g) == brute_vertex_connectivity(simple)
 
 
 @given(simple_graphs(max_n=7))
