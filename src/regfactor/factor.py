@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .matching import max_matching
+from .matching import adjacency_lists, max_matching, maximum_matching_adjacency
 from .multigraph import Multigraph
 
 # The oracle's scan is 3^n, so it refuses graphs above this many vertices.
@@ -362,6 +362,32 @@ def find_factor(g: Multigraph, ell: int) -> FactorResult | None:
     result = FactorResult(chosen, ell)
     result.validate(g)
     return result
+
+
+def gadget_witness(g: Multigraph, ell: int) -> tuple[set[int], set[int]]:
+    """The (S, T) pair of the barrier of the degree gadget's maximum matching.
+
+    With D the gadget nodes some maximum matching leaves exposed, A = N(D)
+    minus D, and ext(v), int(v) the external and internal nodes of v: S = {v :
+    ext(v) ⊆ A} and T = {v ∉ S : int(v) ⊆ A if int(v) ≠ ∅, else ext(v) ⊆ D},
+    the barrier ext(S) ∪ int(T) of Tutte's proof of the f-factor theorem
+    (Tutte 1954).  The pair need not violate the criterion; callers re-check it.
+    """
+    gadget, _ = build_factor_gadget(g, ell)
+    adj = adjacency_lists(gadget)
+    in_d = set(maximum_matching_adjacency(gadget.n, adj)[1])
+    in_a = {w for x in in_d for w in adj[x]} - in_d
+    s, t = set(), set()
+    ext = 0  # as build_factor_gadget numbers them: v's external, then internal nodes
+    for v in range(g.n):
+        inner = ext + g.degree(v)
+        end = inner + g.degree(v) - ell
+        if in_a.issuperset(range(ext, inner)):
+            s.add(v)
+        elif (in_a.issuperset(range(inner, end)) if end > inner else in_d.issuperset(range(ext, inner))):
+            t.add(v)
+        ext = end
+    return s, t
 
 
 def has_2k_factor(g: Multigraph, k: int) -> bool:

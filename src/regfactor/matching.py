@@ -13,6 +13,13 @@ all n nodes would.  The implementation is deterministic — vertices are
 seeded in id order, adjacency is scanned in edge-insertion order, and
 augmenting paths are taken first-found — so equal inputs give equal
 matchings.
+
+A search that fails leaves a Hungarian tree, which no augmenting path of
+this or any later matching meets (Edmonds 1965), so its outer nodes stay
+those an even alternating path reaches from its root.  Every node exposed
+at the end roots such a tree, so the failed trees' outer nodes make up D,
+the nodes some maximum matching leaves exposed (Gallai–Edmonds;
+Lovász–Plummer, *Matching Theory*, §3.2).
 """
 
 from __future__ import annotations
@@ -26,17 +33,22 @@ def max_matching(g: Multigraph) -> set[int]:
     """A maximum matching of a simple graph, as a set of edge ids."""
     if not g.is_simple():
         raise ValueError("maximum matching requires a simple graph")
-    edges = g.edges()
+    match, _ = maximum_matching_adjacency(g.n, adjacency_lists(g))
+    return {eid for eid, u, v in g.edges() if match[u] == v}
+
+
+def adjacency_lists(g: Multigraph) -> list[list[int]]:
+    """Each vertex's neighbours in edge-id order, the order the search scans."""
     adj: list[list[int]] = [[] for _ in range(g.n)]
-    for _, u, v in edges:
+    for _, u, v in g.edges():
         adj[u].append(v)
         adj[v].append(u)
-    match = maximum_matching_adjacency(g.n, adj)
-    return {eid for eid, u, v in edges if match[u] == v}
+    return adj
 
 
-def maximum_matching_adjacency(n: int, adj: list[list[int]]) -> list[int]:
-    """Blossom matching on adjacency lists; returns the mate array (-1 = exposed)."""
+def maximum_matching_adjacency(n: int, adj: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Blossom matching on adjacency lists; returns the mate array (-1 =
+    exposed) and the failed searches' outer nodes, which make up D."""
     match = [-1] * n
     for v in range(n):  # greedy seed keeps augmentation phases rare
         if match[v] == -1:
@@ -49,6 +61,7 @@ def maximum_matching_adjacency(n: int, adj: list[list[int]]) -> list[int]:
     used = [False] * n
     p = [-1] * n
     base = list(range(n))
+    outer: list[int] = []
 
     def find_path(root: int) -> bool:
         tree = [root]  # every node whose used/p/base entries this search sets
@@ -111,6 +124,7 @@ def maximum_matching_adjacency(n: int, adj: list[list[int]]) -> list[int]:
                         used[match[to]] = True
                         tree.append(match[to])
                         q.append(match[to])
+            outer.extend(v for v in tree if used[v])
             return False
         finally:
             for v in tree:
@@ -121,4 +135,4 @@ def maximum_matching_adjacency(n: int, adj: list[list[int]]) -> list[int]:
     for v in range(n):
         if match[v] == -1:
             find_path(v)
-    return match
+    return match, outer

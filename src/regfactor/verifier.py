@@ -23,6 +23,10 @@ Conditions (a)-(f) for a partition R, S, T of V(G):
   (e) every remaining component of G[R] is a full (2r+1)-regular
       bridgeless component;
   (f) if 3k < 2r+1 then |T|-|S| = 1.
+
+A certificate is re-checked, never searched for: ``characterization_check``
+tries at most three candidate partitions, the last one the barrier of the
+degree gadget's maximum matching (``factor.gadget_witness``).
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterator
 
 from .connectivity import bridges, vertex_connectivity
 from .factor import (
@@ -38,6 +41,7 @@ from .factor import (
     component_edge_counts,
     exhaustive_tutte_oracle,
     find_factor,
+    gadget_witness,
     tutte_deficiency,
     FactorResult,
     OddComponentProfile,
@@ -55,10 +59,6 @@ from .generators import (
     random_regular_multigraph,
 )
 from .multigraph import Multigraph
-
-# Leaves of the fallback (S, T) enumeration visited before the certificate
-# search gives up.
-ASSIGN_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -206,14 +206,12 @@ def check_extremal_equalities(g, k, s, t, cut) -> tuple[bool, bool, bool, bool, 
     )
 
 
-def _orient_bridges(g: Multigraph, cut: list[int]):
+def _orient_bridges(g: Multigraph, cut: list[int]) -> set[int] | None:
     """Orient each cut-edge by the blocks of G minus its cut-edges: the end
     in a block holding no other cut-edge end is pendant, the end in a block
     holding two or more is the anchor.
 
-    Returns (the anchors, the other vertices of blocks holding two or more
-    cut-edge ends in increasing order), or None when some cut-edge has two
-    ends of the same kind.
+    Returns the anchors, or None when a cut-edge has two ends of one kind.
     """
     cut_set = set(cut)
     rest = ((u, v) for eid, u, v in g.edges() if eid not in cut_set)
@@ -234,52 +232,20 @@ def _orient_bridges(g: Multigraph, cut: list[int]):
         if u_pendant == v_pendant:
             return None
         anchors.add(v if u_pendant else u)
-    core = [v for v in range(g.n) if ends[block_of[v]] > 1 and v not in anchors]
-    return anchors, core
+    return anchors
 
 
 def _candidate_partitions(g: Multigraph, k: int, cut: list[int]):
-    """Candidate (S, T) pairs for the certificate search, best guesses first."""
+    """Candidate (S, T) pairs for the certificate search, in the order given
+    in ``characterization_check``."""
     if g.n <= ORACLE_CAP:
         witness = exhaustive_tutte_oracle(g, 2 * k)
         if witness is not None:
             yield set(witness.S), set(witness.T)
-
-    oriented = _orient_bridges(g, cut)
-    if oriented is None:
-        return
-    anchors, core = oriented
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    looped = [False] * g.n
-    for _, u, v in g.edges():
-        if u == v:
-            looped[u] = True
-        else:
-            adj[u].add(v)
-            adj[v].add(u)
-    free = [v for v in core if not looped[v]]
-    budget = ASSIGN_BUDGET
-
-    def assign(i: int, s_acc: list[int], t_acc: list[int]) -> Iterator[tuple[set, set]]:
-        nonlocal budget
-        if budget <= 0:
-            return
-        if i == len(free):
-            budget -= 1
-            yield set(s_acc), anchors | set(t_acc)
-            return
-        v = free[i]
-        yield from assign(i + 1, s_acc, t_acc)  # v stays in R
-        if not any(u in adj[v] for u in s_acc):
-            s_acc.append(v)
-            yield from assign(i + 1, s_acc, t_acc)
-            s_acc.pop()
-        if not (adj[v] & anchors) and not any(u in adj[v] for u in t_acc):
-            t_acc.append(v)
-            yield from assign(i + 1, s_acc, t_acc)
-            t_acc.pop()
-
-    yield from assign(0, [], [])
+    anchors = _orient_bridges(g, cut)
+    if anchors is not None:
+        yield set(), anchors
+    yield gadget_witness(g, 2 * k)
 
 
 def _check_rk(r: int, k: int) -> None:
@@ -291,10 +257,10 @@ def characterization_check(g: Multigraph, r: int, k: int) -> PartitionCertificat
     """Both directions of the extremal characterization on one graph.
 
     Requires 1 <= k <= (2r+1)/3 and exactly 2r+4-3k cut-edges.  Returns
-    None when the graph has a 2k-factor; otherwise searches for a partition
-    passing (a)-(f), seeded by maximum-deficiency criterion witnesses and
-    by the bridge structure, and returns it with the equality ledger
-    attached.
+    None when the graph has a 2k-factor; otherwise returns the first
+    candidate (S, T) that passes (a)-(f), with the equality ledger attached:
+    the oracle's witness (n <= 14), then S = ∅ with T the anchors of the
+    oriented cut-edges, then the degree gadget's barrier.
     """
     _check_rk(r, k)
     deg = 2 * r + 1
@@ -307,21 +273,13 @@ def characterization_check(g: Multigraph, r: int, k: int) -> PartitionCertificat
     if find_factor(g, 2 * k) is not None:
         return None
 
-    tried = set()
     for s_set, t_set in _candidate_partitions(g, k, cut):
-        key = (tuple(sorted(s_set)), tuple(sorted(t_set)))
-        if key in tried:
-            continue
-        tried.add(key)
         r_tuple = tuple(sorted(set(range(g.n)) - s_set - t_set))
-        cert = PartitionCertificate(r_tuple, key[0], key[1])
+        cert = PartitionCertificate(r_tuple, tuple(sorted(s_set)), tuple(sorted(t_set)))
         cert = check_conditions_a_f(g, r, k, cert, cut)
         if cert.all_conditions_hold:
             return replace(cert, equalities=check_extremal_equalities(g, k, s_set, t_set, cut))
-    raise ValueError(
-        "graph has no 2k-factor but no certificate partition was found "
-        f"within the search budget (tried {len(tried)} candidates)"
-    )
+    raise ValueError("graph has no 2k-factor but no candidate partition passed (a)-(f)")
 
 
 # -- single-instance verifications ---------------------------------------------
@@ -538,6 +496,7 @@ def charzn_sweep_tasks(r: int, k: int, seed: int = 0) -> list[tuple]:
 
 
 def bsw_sweep_tasks(r: int, t: int, k: int | None = None) -> list[tuple]:
+    BswParams(r, t)  # raises unless 1 <= t < r, before an empty task list can pass
     if k is not None:
         ks = [k]
     else:

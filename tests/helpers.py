@@ -104,10 +104,9 @@ def naive_bridges(g: Multigraph) -> list[int]:
 
 def naive_bridge_orientation(g: Multigraph, cut: list[int]):
     """Orient each cut-edge by walking both sides of it: the pendant side is
-    the side holding no other cut-edge.  Returns (anchor vertices, the
-    vertices that are neither anchors nor pendant, outside bridgeless
-    components, in increasing order), or None when some cut-edge cannot be
-    oriented or an anchor lies on a pendant side."""
+    the side holding no other cut-edge.  Returns the anchor vertices, or None
+    when some cut-edge cannot be oriented or an anchor lies on a pendant
+    side."""
     bridge_pairs = [g.edge(eid) for eid in cut]
     anchors: set[int] = set()
     pendant: set[int] = set()
@@ -149,11 +148,7 @@ def naive_bridge_orientation(g: Multigraph, cut: list[int]):
             return None
     if anchors & pendant:
         return None
-    undecided = set(range(g.n)) - anchors - pendant
-    for comp in g.components():
-        if set(comp) <= undecided:
-            undecided -= set(comp)
-    return anchors, sorted(undecided)
+    return anchors
 
 
 def naive_component_counts(g: Multigraph, s: set[int], t: set[int]):

@@ -181,6 +181,15 @@ def test_verify_main_rejects_bad_rk_before_sampling(capsys):
     assert "k must satisfy 1 <= k <= (2r+1)/3" in stderr
 
 
+@pytest.mark.parametrize("r, t", [("0", "1"), ("2", "0")])
+def test_verify_bsw_rejects_bad_rt(capsys, r, t):
+    # (0, 1) builds no task at all, so unchecked it would print nothing and pass
+    code, stdout, stderr = run_cli(capsys, "verify", "bsw", "--r", r, "--t", t)
+    assert code == 2
+    assert stdout == ""
+    assert "need 1 <= t < r" in stderr
+
+
 @pytest.mark.parametrize("script", ["run_verification.py", "build_gallery.py"])
 def test_scripts_run_from_plain_checkout(script, tmp_path):
     # no install and no PYTHONPATH: the script must find the checkout's src/ itself

@@ -15,7 +15,7 @@ from regfactor import (
     petersen_graph,
     random_connected_regular_multigraph,
 )
-from regfactor.matching import maximum_matching_adjacency
+from regfactor.matching import adjacency_lists, maximum_matching_adjacency
 from regfactor.verifier import main_sweep_tasks
 
 from helpers import (
@@ -76,7 +76,23 @@ def test_mates_match_reference(graph):
     # must equal the fresh-state search's.  Searches share one set of state
     # arrays, so a search that leaves an entry set misleads the next one.
     n, adj = graph
-    assert maximum_matching_adjacency(n, adj) == reference_blossom_mates(n, adj)
+    assert maximum_matching_adjacency(n, adj)[0] == reference_blossom_mates(n, adj)
+
+
+@settings(max_examples=200)
+@given(simple_graphs(max_n=10))
+def test_outer_nodes_are_gallai_edmonds_d(g):
+    # D: the vertices some maximum matching leaves exposed, i.e. those whose
+    # removal keeps the maximum matching size
+    nu = brute_max_matching_size(g)
+    d = {
+        v
+        for v in range(g.n)
+        if brute_max_matching_size(Multigraph.from_edges(g.n, [(a, b) for _, a, b in g.edges() if v not in (a, b)]))
+        == nu
+    }
+    _, outer = maximum_matching_adjacency(g.n, adjacency_lists(g))
+    assert set(outer) == d
 
 
 # -- pinned output ------------------------------------------------------------------

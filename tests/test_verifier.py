@@ -15,6 +15,7 @@ from regfactor import (
     check_conditions_a_f,
     check_extremal_equalities,
     complete_graph,
+    extremal_parameter_grid,
     general_extremal,
     general_extremal_with_partition,
     has_2k_factor,
@@ -169,19 +170,19 @@ def test_characterization_rejects_k_out_of_range(g, r, k):
         characterization_check(g, r, k)
 
 
-# one certificate per search route, pinned from the search's candidate order
+# certificates pinned from the search's candidate order
 _PINNED_CERTIFICATES = [
     # the oracle's maximum-deficiency witness (n = 10)
     (ExtremalParams(1, 1, size_t=1, size_s=0), range(1, 10), [], [0]),
-    # the fallback enumeration, 43rd candidate tried
+    # the gadget's barrier (n = 24), after the cut-edge anchors fail (a)-(f)
     (ExtremalParams(2, 1, size_t=2, size_s=1, blister_count=1), range(3, 24), [2], [0, 1]),
-    # the fallback enumeration, 721st candidate tried
+    # the gadget's barrier (n = 26), after the cut-edge anchors fail (a)-(f)
     (ExtremalParams(3, 2, size_t=2, size_s=1, blister_count=1), range(3, 26), [2], [0, 1]),
 ]
 
 
 @pytest.mark.parametrize(
-    "params, r_set, s_set, t_set", _PINNED_CERTIFICATES, ids=["oracle", "r2-assign", "r3-assign"]
+    "params, r_set, s_set, t_set", _PINNED_CERTIFICATES, ids=["oracle", "r2-gadget", "r3-gadget"]
 )
 def test_characterization_certificates_pinned(params, r_set, s_set, t_set):
     cert = characterization_check(general_extremal(params), params.r, params.k)
@@ -193,6 +194,22 @@ def test_characterization_certificates_pinned(params, r_set, s_set, t_set):
         "equalities": [True] * 5,
     }
     assert json.dumps(cert.to_json()) == json.dumps(expected)
+
+
+def test_every_grid_cell_certified():
+    # every r <= 4 cell at seed 0, the blistered b2 and the r4k3 t3s1 cells
+    # included; the two n = 14 cells are left out, as their first candidate
+    # is the oracle's 3^14 scan
+    certified = 0
+    for r, k in [(1, 1), (2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]:
+        for params in extremal_parameter_grid(r, k):
+            g = general_extremal(params)
+            if g.n == 14:
+                continue
+            cert = characterization_check(g, r, k)
+            assert cert.all_conditions_hold and cert.all_equalities_hold, params
+            certified += 1
+    assert certified == 70
 
 
 def test_certificate_search_finds_cut_edges_once(monkeypatch):
@@ -211,8 +228,9 @@ def test_certificate_search_finds_cut_edges_once(monkeypatch):
     )
     params = _PINNED_CERTIFICATES[1][0]
     assert characterization_check(general_extremal(params), params.r, params.k) is not None
-    # the search's own call, not one per candidate or per equality ledger
-    assert calls == {"bridges": 1, "candidates": 43}
+    # the search's own call, not one per candidate or per equality ledger;
+    # the anchors, then the gadget's barrier
+    assert calls == {"bridges": 1, "candidates": 2}
 
 
 @settings(max_examples=200)
@@ -226,7 +244,7 @@ def test_orient_bridges_fixed_cases():
     g = sylvester_extremal(1, 1)
     cut = bridges(g)
     (hub,) = set.intersection(*(set(g.edge(eid)) for eid in cut))
-    assert _orient_bridges(g, cut) == ({hub}, [])
+    assert _orient_bridges(g, cut) == {hub}
     chain = bridged_chain(1, 3)
     assert _orient_bridges(chain, bridges(chain)) is None
 
