@@ -16,9 +16,10 @@ Two independent routes are provided and cross-checked in the test suite:
 
 * ``exhaustive_tutte_oracle`` — evaluates the criterion over all 3^n
   disjoint (S,T) pairs and returns a maximum-deficiency witness if any
-  pair violates it.  For each union S∪T it walks T in Gray-code order,
-  updating q and d as one vertex moves; ties go to the lexicographically
-  smallest (S,T), so the witness does not depend on the scan order;
+  pair violates it.  For each union S∪T it places the members in S or T
+  depth first, cutting every branch whose exact bound is below the best so
+  far; ties go to the lexicographically smallest (S,T), so the witness does
+  not depend on the search order;
 * ``find_factor`` — constructs a factor via the standard degree-gadget
   reduction to perfect matching.
 """
@@ -183,11 +184,18 @@ def exhaustive_tutte_oracle(g: Multigraph, ell: int, cap: int = ORACLE_CAP) -> T
 
     Returns the maximum-deficiency witness whose ``(S, T)`` tuple is
     lexicographically smallest, or None when no pair violates the criterion
-    (i.e. an ℓ-factor exists).  For each union S∪T the components of the
-    rest are labelled once; T then walks the subsets of the union in
-    Gray-code order, each step moving one vertex v between S and T and
-    updating q and d by v's terms alone.  The tie-break does not depend on
-    that order.  The scan is 3^n, so graphs above `cap` vertices are refused.
+    (i.e. an ℓ-factor exists).  For each union U = S∪T the components of the
+    rest are labelled once; a depth-first search then puts U's members in S
+    or T in id order, updating q and d by v's terms alone as v joins T.  With
+    members j.. undecided it cuts the branch when ``popcount(odd | sflip[j])
+    + slack + sgain[j]``, rounded down to the parity of ℓn, is below the best
+    deficiency so far.  That bounds every completion: a component that no
+    undecided member flips keeps its parity; v joining T changes slack by
+    ``-step[v] - 2·e(v, T) <= max(0, -step[v])``; and every deficiency is
+    ≡ ℓn (mod 2) (Lovász 1970: q ≡ e(T, R) + ℓ|R| and d ≡ e(T, R), R the
+    rest).  At a leaf the bound is the deficiency, and a pair that ties the
+    running best is never cut, so the witness does not depend on the search
+    order.  The scan is 3^n, so graphs above `cap` vertices are refused.
     """
     if ell < 1:
         raise ValueError(f"factor degree must be >= 1, got {ell}")
@@ -211,6 +219,7 @@ def exhaustive_tutte_oracle(g: Multigraph, ell: int, cap: int = ORACLE_CAP) -> T
         layers[j][v] |= 1 << u
     nbr, deeper = layers[0], layers[1:]
     full = (1 << n) - 1
+    parity = ell * n & 1
 
     best: TutteWitness | None = None
     best_def = 1
@@ -257,37 +266,36 @@ def exhaustive_tutte_oracle(g: Multigraph, ell: int, cap: int = ORACLE_CAP) -> T
                 flip[v] ^= 1 << comp_of[u]
                 step[v] += 1
 
-        # Gray-code walk from T = ∅, keeping slack = -d - ℓ(|S| - |T|): v
-        # joining T lowers it by step[v] + 2·(edges from v to T), leaving
-        # T raises it by as much
+        # slack = -d - ℓ(|S| - |T|); members j.. can flip only the
+        # components in sflip[j] and raise slack by at most sgain[j]
         members = _bits(union)
-        slack = -ell * len(members)
-        t_mask = 0
-        i = 0
-        while True:
-            deficiency = odd.bit_count() + slack
-            if deficiency >= best_def:
-                s_mask = union ^ t_mask
-                d = -slack - ell * (s_mask.bit_count() - t_mask.bit_count())
-                cand = _witness(s_mask, t_mask, odd.bit_count(), d, deficiency)
-                if best is None or deficiency > best_def or (cand.S, cand.T) < (best.S, best.T):
-                    best, best_def = cand, deficiency
-            i += 1
-            if i >> len(members):
-                break
-            v = members[(i & -i).bit_length() - 1]
-            b = 1 << v
-            odd ^= flip[v]
-            c = (nbr[v] & t_mask).bit_count()
-            for layer in deeper:
-                c += (layer[v] & t_mask).bit_count()
-            slack += step[v] + 2 * c if t_mask & b else -step[v] - 2 * c
-            t_mask ^= b
+        m = len(members)
+        sflip, sgain = [0] * (m + 1), [0] * (m + 1)
+        for j in range(m - 1, -1, -1):
+            v = members[j]
+            sflip[j] = sflip[j + 1] | flip[v]
+            sgain[j] = sgain[j + 1] + max(0, -step[v])
+        stack = [(0, odd, 0, -ell * m)]
+        while stack:
+            j, odd, t_mask, slack = stack.pop()
+            while j < m:  # member j joins S here; its T branch waits on the stack
+                bound = (odd | sflip[j]).bit_count() + slack + sgain[j]
+                if bound - ((bound ^ parity) & 1) < best_def:
+                    break
+                v = members[j]
+                c = (nbr[v] & t_mask).bit_count()
+                for layer in deeper:
+                    c += (layer[v] & t_mask).bit_count()
+                j += 1
+                stack.append((j, odd ^ flip[v], t_mask | 1 << v, slack - step[v] - 2 * c))
+            else:
+                deficiency = odd.bit_count() + slack
+                if deficiency >= best_def:
+                    d = -slack - ell * (m - 2 * t_mask.bit_count())
+                    cand = TutteWitness(_bits(union ^ t_mask), _bits(t_mask), odd.bit_count(), d, deficiency)
+                    if best is None or deficiency > best_def or (cand.S, cand.T) < (best.S, best.T):
+                        best, best_def = cand, deficiency
     return best
-
-
-def _witness(s_mask: int, t_mask: int, q: int, d: int, deficiency: int) -> TutteWitness:
-    return TutteWitness(_bits(s_mask), _bits(t_mask), q, d, deficiency)
 
 
 def _bits(mask: int) -> tuple[int, ...]:

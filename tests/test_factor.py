@@ -241,9 +241,20 @@ def test_oracle_solver_agreement(g, ell):
         assert factor_degrees(g, factor.edge_ids) == [ell] * g.n
 
 
-@given(multigraphs(max_n=7, max_m=12), st.sampled_from([1, 2, 3, 4, 6]))
+@given(multigraphs(max_n=7, max_m=12), st.integers(1, 6))
 def test_oracle_matches_naive_scan(g, ell):
     assert exhaustive_tutte_oracle(g, ell) == naive_oracle(g, ell)
+
+
+def test_oracle_tie_break_is_not_search_order():
+    # the bowtie (two triangles sharing vertex 2) has nine pairs of maximum
+    # deficiency 2 for ℓ = 2; the search scores S = (2,), T = (0, 3) first,
+    # and must still return the lexicographically smallest pair
+    bowtie = Multigraph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+    assert tutte_deficiency(bowtie, 2, (2,), (0, 3)) == 2
+    w = exhaustive_tutte_oracle(bowtie, 2)
+    assert (w.S, w.T, w.q, w.d, w.deficiency) == ((2,), (0, 1, 3), 1, 3, 2)
+    assert w == naive_oracle(bowtie, 2)
 
 
 @given(disjoint_pairs(), st.integers(1, 3))
@@ -252,6 +263,13 @@ def test_parity_invariant_even_ell(data, k):
     q = q_count(g, 2 * k, s, t)
     d = g.degree_sum_minus(s, t)
     assert (q - d) % 2 == 0
+
+
+@given(disjoint_pairs(), st.integers(1, 6))
+def test_deficiency_has_parity_of_ell_n(data, ell):
+    # Lovász (1970); the oracle's bound rounds down to this parity
+    g, s, t = data
+    assert (tutte_deficiency(g, ell, s, t) - ell * g.n) % 2 == 0
 
 
 def test_even_cut_property():

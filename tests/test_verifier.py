@@ -197,19 +197,16 @@ def test_characterization_certificates_pinned(params, r_set, s_set, t_set):
 
 
 def test_every_grid_cell_certified():
-    # every r <= 4 cell at seed 0, the blistered b2 and the r4k3 t3s1 cells
-    # included; the two n = 14 cells are left out, as their first candidate
-    # is the oracle's 3^14 scan
+    # every r <= 4 cell at seed 0, the blistered b2, the r4k3 t3s1 and the
+    # two n = 14 cells (whose first candidate is the oracle's 3^14 scan)
+    # included
     certified = 0
     for r, k in [(1, 1), (2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]:
         for params in extremal_parameter_grid(r, k):
-            g = general_extremal(params)
-            if g.n == 14:
-                continue
-            cert = characterization_check(g, r, k)
+            cert = characterization_check(general_extremal(params), r, k)
             assert cert.all_conditions_hold and cert.all_equalities_hold, params
             certified += 1
-    assert certified == 70
+    assert certified == 72
 
 
 def test_certificate_search_finds_cut_edges_once(monkeypatch):
