@@ -2,17 +2,19 @@
 
 Classic blossom algorithm: alternating BFS from each exposed vertex, with
 odd cycles contracted by rebasing vertices onto the cycle's base.  The
-search state (`used`, `p`, `base`) is allocated once per call.  Each search
-records in `tree` every node whose entries it sets — the root, every node
-that gets a parent (the exposed endpoint of an augmenting path included)
-and every mate of such a node — and resets exactly those entries when it
-ends, so the next search starts from clean state.  Only tree nodes can have
-their base on a contracted cycle, so a contraction relabels the tree alone;
-it walks the tree in id order, which queues nodes in the order a scan of
-all n nodes would.  The implementation is deterministic — vertices are
-seeded in id order, adjacency is scanned in edge-insertion order, and
-augmenting paths are taken first-found — so equal inputs give equal
-matchings.
+search state (`used`, `p`, `base`, and `members[b]`, the nodes whose base is
+b) is allocated once per call.  Each search records in `tree` every node
+whose entries it sets — the root, every node that gets a parent and every
+mate of such a node — and resets exactly those entries when it ends.  A
+contraction re-bases the members of the cycle's bases (Gabow, JACM 1976),
+which are exactly the nodes a scan of all n would: only tree nodes have
+another base, and every base on the cycle is a tree node.  Sorted by id,
+they are queued in the scan's order.  The new base is never on the cycle (a
+blossom holds its base's mate only through the base, where `mark_path`
+stops), so its members keep their base.  An absorbed base's list goes
+stale, but it is never read again, because that node is no longer a base.
+Seeding in id order, adjacency in edge order and first-found paths make
+equal inputs give equal matchings.
 
 A search that fails leaves a Hungarian tree, which no augmenting path of
 this or any later matching meets (Edmonds 1965), so its outer nodes stay
@@ -61,10 +63,11 @@ def maximum_matching_adjacency(n: int, adj: list[list[int]]) -> tuple[list[int],
     used = [False] * n
     p = [-1] * n
     base = list(range(n))
+    members = [[v] for v in range(n)]  # members[b]: the nodes whose base is b
     outer: list[int] = []
 
     def find_path(root: int) -> bool:
-        tree = [root]  # every node whose used/p/base entries this search sets
+        tree = [root]  # every node whose used/p/base/members entries this search sets
 
         def lca(a: int, b: int) -> int:
             seen = set()
@@ -102,13 +105,14 @@ def maximum_matching_adjacency(n: int, adj: list[list[int]]) -> tuple[list[int],
                         blossom = set()
                         mark_path(v, curbase, to)
                         mark_path(to, curbase, v)
-                        tree.sort()  # id order fixes the queue order, and so the mates
-                        for i in tree:
-                            if base[i] in blossom:
-                                base[i] = curbase
-                                if not used[i]:
-                                    used[i] = True
-                                    q.append(i)
+                        # id order fixes the queue order, and so the mates
+                        inner = sorted(i for b in blossom for i in members[b])
+                        members[curbase] += inner
+                        for i in inner:
+                            base[i] = curbase
+                            if not used[i]:
+                                used[i] = True
+                                q.append(i)
                     elif p[to] == -1:
                         p[to] = v
                         tree.append(to)
@@ -131,6 +135,7 @@ def maximum_matching_adjacency(n: int, adj: list[list[int]]) -> tuple[list[int],
                 used[v] = False
                 p[v] = -1
                 base[v] = v
+                members[v] = [v]
 
     for v in range(n):
         if match[v] == -1:

@@ -10,7 +10,6 @@ from regfactor import (
     bsw_graph,
     build_factor_gadget,
     complete_graph,
-    cycle_graph,
     max_matching,
     petersen_graph,
     random_connected_regular_multigraph,
@@ -66,7 +65,7 @@ def test_odd_cycle_with_tail():
 
 
 def test_empty_graph():
-    assert max_matching(cycle_graph(3).induced_subgraph(())) == set()
+    assert max_matching(Multigraph(0)) == set()
 
 
 @settings(max_examples=1000)
@@ -79,20 +78,44 @@ def test_mates_match_reference(graph):
     assert maximum_matching_adjacency(n, adj)[0] == reference_blossom_mates(n, adj)
 
 
-@settings(max_examples=200)
-@given(simple_graphs(max_n=10))
-def test_outer_nodes_are_gallai_edmonds_d(g):
-    # D: the vertices some maximum matching leaves exposed, i.e. those whose
-    # removal keeps the maximum matching size
+def gallai_edmonds_d(g: Multigraph) -> set[int]:
+    """D: the vertices some maximum matching leaves exposed, i.e. those whose
+    removal keeps the maximum matching size."""
     nu = brute_max_matching_size(g)
-    d = {
+    return {
         v
         for v in range(g.n)
         if brute_max_matching_size(Multigraph.from_edges(g.n, [(a, b) for _, a, b in g.edges() if v not in (a, b)]))
         == nu
     }
+
+
+@settings(max_examples=200)
+@given(simple_graphs(max_n=10))
+def test_outer_nodes_are_gallai_edmonds_d(g):
     _, outer = maximum_matching_adjacency(g.n, adjacency_lists(g))
-    assert set(outer) == d
+    assert set(outer) == gallai_edmonds_d(g)
+
+
+def test_nested_blossoms_then_failed_search():
+    # Two components.  In each, the first search contracts a blossom whose
+    # base is then absorbed into a larger blossom (vertices 0 and 5 onto 2,
+    # then 2 onto 6; in the second, 11 and 15 onto 20, then 20 onto 21), and
+    # a later search fails.  The first component's absorbed members list
+    # [2, 0, 5] is out of id order, so an unsorted relabel changes the mates;
+    # the second's failed searches meet the first search's bases, so a
+    # members list that is not handed to the new base, or not reset after a
+    # search, changes them too.
+    g = Multigraph.from_edges(
+        25,
+        [(3, 7), (6, 4), (4, 2), (5, 0), (1, 7), (2, 0), (3, 8), (0, 1), (8, 6), (5, 2), (5, 3), (4, 10), (8, 9)]
+        + [(14, 12), (16, 13), (19, 15), (15, 11), (12, 17), (14, 15), (18, 20), (11, 16), (21, 18), (15, 20)]
+        + [(13, 21), (17, 19), (11, 20), (14, 23), (17, 24), (19, 22)],
+    )
+    adj = adjacency_lists(g)
+    mates, outer = maximum_matching_adjacency(g.n, adj)
+    assert mates == reference_blossom_mates(g.n, adj)
+    assert set(outer) == gallai_edmonds_d(g)
 
 
 # -- pinned output ------------------------------------------------------------------
