@@ -50,7 +50,8 @@ def adjacency_lists(g: Multigraph) -> list[list[int]]:
 
 def maximum_matching_adjacency(n: int, adj: list[list[int]]) -> tuple[list[int], list[int]]:
     """Blossom matching on adjacency lists; returns the mate array (-1 =
-    exposed) and the failed searches' outer nodes, which make up D."""
+    exposed) and the failed searches' outer nodes, which make up D, each
+    once (a later search can walk through an earlier failed tree again)."""
     match = [-1] * n
     for v in range(n):  # greedy seed keeps augmentation phases rare
         if match[v] == -1:
@@ -140,4 +141,4 @@ def maximum_matching_adjacency(n: int, adj: list[list[int]]) -> tuple[list[int],
     for v in range(n):
         if match[v] == -1:
             find_path(v)
-    return match, outer
+    return match, list(dict.fromkeys(outer))

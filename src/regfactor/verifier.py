@@ -31,9 +31,10 @@ degree gadget's maximum matching (``factor.gadget_witness``).
 
 from __future__ import annotations
 
+import os
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .connectivity import bridges, vertex_connectivity
 from .factor import (
@@ -68,24 +69,25 @@ class PartitionCertificate:
     R: tuple[int, ...]
     S: tuple[int, ...]
     T: tuple[int, ...]
-    conditions: dict | None = None
-    equalities: tuple[bool, bool, bool, bool, bool] | None = None
+    conditions: dict[str, bool]
+    equalities: tuple[bool, bool, bool, bool, bool]
 
     @property
     def all_conditions_hold(self) -> bool:
-        return self.conditions is not None and all(self.conditions.values())
+        return all(self.conditions.values())
 
     @property
     def all_equalities_hold(self) -> bool:
-        return self.equalities is not None and all(self.equalities)
+        return all(self.equalities)
 
     def to_json(self) -> dict:
-        out: dict = {"R": list(self.R), "S": list(self.S), "T": list(self.T)}
-        if self.conditions is not None:
-            out["conditions"] = dict(self.conditions)
-        if self.equalities is not None:
-            out["equalities"] = list(self.equalities)
-        return out
+        return {
+            "R": list(self.R),
+            "S": list(self.S),
+            "T": list(self.T),
+            "conditions": dict(self.conditions),
+            "equalities": list(self.equalities),
+        }
 
 
 @dataclass
@@ -124,19 +126,11 @@ class VerificationReport:
         return out
 
 
-def _partition_sets(g: Multigraph, cert: PartitionCertificate):
-    rs, ss, ts = set(cert.R), set(cert.S), set(cert.T)
-    if rs & ss or rs & ts or ss & ts or (rs | ss | ts) != set(range(g.n)):
-        raise ValueError("R, S, T must partition the vertex set")
-    return rs, ss, ts
-
-
-def check_conditions_a_f(
-    g: Multigraph, r: int, k: int, cert: PartitionCertificate, cut: list[int]
-) -> PartitionCertificate:
-    """Evaluate conditions (a)-(f) literally and fill the verdicts; `cut`
-    is g's cut-edge list, ``bridges(g)``."""
-    r_set, s_set, t_set = _partition_sets(g, cert)
+def check_conditions_a_f(g: Multigraph, r: int, k: int, s, t, cut: list[int]) -> dict[str, bool]:
+    """Evaluate conditions (a)-(f) literally for R = V - S - T, the vertices
+    ``component_edge_counts`` labels; `cut` is g's cut-edge list,
+    ``bridges(g)``.  S and T must be disjoint sets of vertices of g."""
+    s_set, t_set = set(s), set(t)
     deg = 2 * r + 1
     comps, comp_of, to_t, to_s, (inside_s, _, inside_t) = component_edge_counts(g, s_set, t_set)
 
@@ -147,7 +141,7 @@ def check_conditions_a_f(
     for eid in cut:
         u, v = g.edge(eid)
         in_t = [x for x in (u, v) if x in t_set]
-        in_r = [x for x in (u, v) if x in r_set]
+        in_r = [x for x in (u, v) if comp_of[x] >= 0]
         if len(in_t) != 1 or len(in_r) != 1:
             cond_b = False
             break
@@ -170,17 +164,7 @@ def check_conditions_a_f(
 
     cond_f = 3 * k == 2 * r + 1 or len(t_set) - len(s_set) == 1
 
-    return replace(
-        cert,
-        conditions={
-            "a": cond_a,
-            "b": cond_b,
-            "c": cond_c,
-            "d": cond_d,
-            "e": cond_e,
-            "f": cond_f,
-        },
-    )
+    return {"a": cond_a, "b": cond_b, "c": cond_c, "d": cond_d, "e": cond_e, "f": cond_f}
 
 
 def check_extremal_equalities(g, k, s, t, cut) -> tuple[bool, bool, bool, bool, bool]:
@@ -204,6 +188,15 @@ def check_extremal_equalities(g, k, s, t, cut) -> tuple[bool, bool, bool, bool, 
         deg * len(s_set) == ts + rs,
         diff >= 1 and (3 * k == deg or diff == 1),
     )
+
+
+def _certificate(g: Multigraph, r: int, k: int, s, t, cut: list[int]) -> PartitionCertificate:
+    """The partition R = V - S - T with its verdicts (a)-(f) and equality ledger."""
+    s, t = set(s), set(t)
+    conditions = check_conditions_a_f(g, r, k, s, t, cut)
+    r_part = tuple(v for v in range(g.n) if v not in s and v not in t)
+    equalities = check_extremal_equalities(g, k, s, t, cut)
+    return PartitionCertificate(r_part, tuple(sorted(s)), tuple(sorted(t)), conditions, equalities)
 
 
 def _orient_bridges(g: Multigraph, cut: list[int]) -> set[int] | None:
@@ -274,11 +267,9 @@ def characterization_check(g: Multigraph, r: int, k: int) -> PartitionCertificat
         return None
 
     for s_set, t_set in _candidate_partitions(g, k, cut):
-        r_tuple = tuple(sorted(set(range(g.n)) - s_set - t_set))
-        cert = PartitionCertificate(r_tuple, tuple(sorted(s_set)), tuple(sorted(t_set)))
-        cert = check_conditions_a_f(g, r, k, cert, cut)
+        cert = _certificate(g, r, k, s_set, t_set, cut)
         if cert.all_conditions_hold:
-            return replace(cert, equalities=check_extremal_equalities(g, k, s_set, t_set, cut))
+            return cert
     raise ValueError("graph has no 2k-factor but no candidate partition passed (a)-(f)")
 
 
@@ -417,10 +408,7 @@ def verify_extremal_instance(params: ExtremalParams, seed: int = 0) -> Verificat
     p = len(cut)
     p_ok = p == params.cut_edges
     factor = find_factor(g, 2 * params.k)
-    r_tuple = tuple(sorted(set(range(g.n)) - set(s_verts) - set(t_verts)))
-    cert = PartitionCertificate(r_tuple, tuple(sorted(s_verts)), tuple(sorted(t_verts)))
-    cert = check_conditions_a_f(g, params.r, params.k, cert, cut)
-    cert = replace(cert, equalities=check_extremal_equalities(g, params.k, s_verts, t_verts, cut))
+    cert = _certificate(g, params.r, params.k, s_verts, t_verts, cut)
     passed = p_ok and factor is None and cert.all_conditions_hold and cert.all_equalities_hold
     millis = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
@@ -569,8 +557,10 @@ def run_task(task: tuple) -> VerificationReport:
 def run_tasks(tasks: list[tuple], jobs: int = 1) -> list[VerificationReport]:
     """Execute sweep tasks, optionally across processes; output order is the
     task order regardless of completion order.  At most one worker process
-    per task is started."""
-    workers = min(jobs, len(tasks))
+    per task and per CPU is started."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [run_task(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor

@@ -174,6 +174,14 @@ def test_verify_negative_trials_exit_2(capsys, argv):
     assert "trials must be non-negative" in stderr
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_fewer_than_one_job_exit_2(capsys, jobs):
+    code, stdout, stderr = run_cli(capsys, "verify", "main", "--r", "1", "--k", "1", "--trials", "2", "--jobs", jobs)
+    assert code == 2
+    assert stdout == ""
+    assert "jobs must be >= 1" in stderr
+
+
 def test_verify_main_rejects_bad_rk_before_sampling(capsys):
     code, stdout, stderr = run_cli(capsys, "verify", "main", "--r", "0", "--k", "1", "--trials", "2")
     assert code == 2

@@ -116,6 +116,8 @@ def test_nested_blossoms_then_failed_search():
     mates, outer = maximum_matching_adjacency(g.n, adj)
     assert mates == reference_blossom_mates(g.n, adj)
     assert set(outer) == gallai_edmonds_d(g)
+    # the second component's later failed search walks an earlier failed tree again
+    assert len(outer) == len(set(outer))
 
 
 # -- pinned output ------------------------------------------------------------------

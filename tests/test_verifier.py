@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,6 @@ from regfactor import (
     BswParams,
     ExtremalParams,
     Multigraph,
-    PartitionCertificate,
     bridged_chain,
     bridges,
     characterization_check,
@@ -66,32 +66,29 @@ def test_main_theorem_small_batch():
 # -- structural conditions ---------------------------------------------------------
 
 
-def _cert_for(g, s, t):
-    r_part = tuple(sorted(set(range(g.n)) - set(s) - set(t)))
-    return PartitionCertificate(r_part, tuple(sorted(s)), tuple(sorted(t)))
-
-
 def test_conditions_figure1(figure1):
     g, s, t = figure1
-    cert = check_conditions_a_f(g, 1, 1, _cert_for(g, s, t), bridges(g))
-    assert cert.all_conditions_hold
+    conditions = check_conditions_a_f(g, 1, 1, s, t, bridges(g))
+    assert all(conditions.values())
 
 
 def test_conditions_swapped_sets_fail_a(figure1):
     g, s, t = figure1
-    cert = check_conditions_a_f(g, 1, 1, _cert_for(g, t, s), bridges(g))
-    assert not cert.conditions["a"]  # |T| > |S| violated
+    conditions = check_conditions_a_f(g, 1, 1, t, s, bridges(g))
+    assert not conditions["a"]  # |T| > |S| violated
 
 
 def test_conditions_k4_fail_d(k4):
-    cert = check_conditions_a_f(k4, 1, 1, _cert_for(k4, set(), {0}), bridges(k4))
-    assert not cert.conditions["d"]
-    assert not cert.all_conditions_hold
+    conditions = check_conditions_a_f(k4, 1, 1, set(), {0}, bridges(k4))
+    assert not conditions["d"]
+    assert not all(conditions.values())
 
 
 def test_conditions_require_partition(k4):
-    with pytest.raises(ValueError, match="partition"):
-        check_conditions_a_f(k4, 1, 1, PartitionCertificate((0, 1), (1,), (2,)), bridges(k4))
+    # R is what S and T leave, so S and T alone must be disjoint vertex sets
+    for s, t, match in [({1}, {1, 2}, "overlap"), (set(), {4}, "unknown vertex"), ({-1}, {0, 1}, "unknown vertex")]:
+        with pytest.raises(ValueError, match=match):
+            check_conditions_a_f(k4, 1, 1, s, t, bridges(k4))
 
 
 @settings(max_examples=300)
@@ -103,8 +100,8 @@ def test_conditions_match_naive(g, data):
     r = data.draw(st.integers(1, 4))
     k = data.draw(st.integers(1, (2 * r + 1) // 3))
     r_set, s_set, t_set = ({v for v, role in enumerate(roles) if role == i} for i in range(3))
-    cert = check_conditions_a_f(g, r, k, _cert_for(g, s_set, t_set), bridges(g))
-    assert cert.conditions == naive_conditions(g, r, k, r_set, s_set, t_set)
+    conditions = check_conditions_a_f(g, r, k, s_set, t_set, bridges(g))
+    assert conditions == naive_conditions(g, r, k, r_set, s_set, t_set)
 
 
 # -- equality ledger ----------------------------------------------------------------
@@ -341,6 +338,7 @@ def test_run_tasks_starts_no_more_workers_than_tasks(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     tasks = main_sweep_tasks(1, 1, trials=2, seed=9)
     pooled = [rep.to_json() for rep in run_tasks(tasks, jobs=64)]
     assert started == [2]
@@ -352,3 +350,9 @@ def test_run_tasks_starts_no_more_workers_than_tasks(monkeypatch):
     run_tasks(tasks[:1], jobs=64)
     run_tasks([], jobs=64)
     assert started == [2]  # one task or none runs in-process
+    # nor more than one per CPU: `--jobs 5000` must not fork 5,000 processes
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    run_tasks(main_sweep_tasks(1, 1, trials=6, seed=9), jobs=5000)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: in-process
+    run_tasks(tasks, jobs=5000)
+    assert started == [2, 4]
