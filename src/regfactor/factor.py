@@ -307,18 +307,16 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def build_factor_gadget(g: Multigraph, ell: int) -> tuple[Multigraph, dict[int, int]]:
+def build_factor_gadget(g: Multigraph, ell: int) -> tuple[Multigraph, list[int]]:
     """Reduce ℓ-factor existence to perfect matching.
 
-    For each vertex v: one external node per edge-endpoint incidence (a
-    loop yields two) plus ``degree(v) - ℓ`` internal nodes joined to all of
-    v's external nodes.  Each original edge becomes a single gadget edge
-    between one external node of each endpoint.  The gadget has a perfect
-    matching iff g has an ℓ-factor, and the factor consists of the original
-    edges whose gadget edge is matched.
-
-    Returns the gadget and the map from gadget edge id to original edge id
-    (edge-gadget edges only).
+    Returns ``(gadget, start)``.  Vertex v's external nodes, one per
+    edge-endpoint incidence (a loop yields two), are ``start[v] .. start[v]
+    + deg(v) - 1``; its ``deg(v) - ℓ`` internal nodes follow, up to
+    ``start[v + 1]``, each joined to all of v's external nodes.  Gadget edge
+    e is g's edge e for e < g.m, joining one external node of each end.  The
+    gadget has a perfect matching iff g has an ℓ-factor, and the factor
+    consists of the edges e < g.m that the matching uses.
     """
     if ell < 1:
         raise ValueError(f"factor degree must be >= 1, got {ell}")
@@ -327,29 +325,24 @@ def build_factor_gadget(g: Multigraph, ell: int) -> tuple[Multigraph, dict[int, 
     if short:
         raise ValueError(f"no {ell}-factor: vertex {short[0]} has degree {degs[short[0]]}")
 
-    ext_base = [0] * g.n
-    int_base = [0] * g.n
-    total = 0
-    for v in range(g.n):
-        ext_base[v] = total
-        total += degs[v]
-        int_base[v] = total
-        total += degs[v] - ell
-    gadget = Multigraph(total)
+    start = [0]
+    for d in degs:
+        start.append(start[-1] + 2 * d - ell)
+    gadget = Multigraph(start[-1])
 
-    slot = [0] * g.n
-    edge_map: dict[int, int] = {}
-    for eid, u, v in g.edges():
-        a = ext_base[u] + slot[u]
+    slot = start[:-1]
+    for _, u, v in g.edges():
+        a = slot[u]
         slot[u] += 1
-        b = ext_base[v] + slot[v]
+        b = slot[v]
         slot[v] += 1
-        edge_map[gadget.add_edge(a, b)] = eid
+        gadget.add_edge(a, b)
     for v in range(g.n):
-        for i in range(degs[v] - ell):
-            for s in range(degs[v]):
-                gadget.add_edge(int_base[v] + i, ext_base[v] + s)
-    return gadget, edge_map
+        ext = range(start[v], start[v] + degs[v])
+        for i in range(ext.stop, start[v + 1]):
+            for x in ext:
+                gadget.add_edge(i, x)
+    return gadget, start
 
 
 def find_factor(g: Multigraph, ell: int) -> FactorResult | None:
@@ -362,12 +355,11 @@ def find_factor(g: Multigraph, ell: int) -> FactorResult | None:
         return None
     if (ell * g.n) % 2 == 1:
         return None
-    gadget, edge_map = build_factor_gadget(g, ell)
+    gadget, _ = build_factor_gadget(g, ell)
     matched = max_matching(gadget)
     if 2 * len(matched) < gadget.n:
         return None
-    chosen = tuple(sorted(edge_map[ge] for ge in matched if ge in edge_map))
-    result = FactorResult(chosen, ell)
+    result = FactorResult(tuple(sorted(e for e in matched if e < g.m)), ell)
     result.validate(g)
     return result
 
@@ -381,20 +373,18 @@ def gadget_witness(g: Multigraph, ell: int) -> tuple[set[int], set[int]]:
     the barrier ext(S) ∪ int(T) of Tutte's proof of the f-factor theorem
     (Tutte 1954).  The pair need not violate the criterion; callers re-check it.
     """
-    gadget, _ = build_factor_gadget(g, ell)
+    gadget, start = build_factor_gadget(g, ell)
     adj = adjacency_lists(gadget)
     in_d = set(maximum_matching_adjacency(gadget.n, adj)[1])
     in_a = {w for x in in_d for w in adj[x]} - in_d
     s, t = set(), set()
-    ext = 0  # as build_factor_gadget numbers them: v's external, then internal nodes
     for v in range(g.n):
-        inner = ext + g.degree(v)
-        end = inner + g.degree(v) - ell
-        if in_a.issuperset(range(ext, inner)):
+        ext = range(start[v], start[v] + g.degree(v))
+        inner = range(ext.stop, start[v + 1])
+        if in_a.issuperset(ext):
             s.add(v)
-        elif (in_a.issuperset(range(inner, end)) if end > inner else in_d.issuperset(range(ext, inner))):
+        elif in_a.issuperset(inner) if inner else in_d.issuperset(ext):
             t.add(v)
-        ext = end
     return s, t
 
 

@@ -180,6 +180,12 @@ def _allocate(params: ExtremalParams, rot: int, concentrated: bool, segregated: 
     t-vertex.  Every t ends with degree exactly 2r+1.  The triple edges
     either cycle over T (gluing the t-vertices together) or concentrate on
     the fullest t; S-edges either spread near-evenly or land on a single t.
+
+    Only the segregated placement can be rejected.  With diff = |T| - |S|
+    the capacities start at (2r+1)|T| and the triples take 3(k·diff - 1) <
+    (2r+1)·diff of it, so spreading S's (2r+1)|S| edges leaves at least 3.
+    The capacity left, diff·(2r+1-3k) + 3, is 2r+4-3k by condition (f):
+    exactly one pendant per cut-edge.
     """
     deg = 2 * params.r + 1
     n_t = params.size_t
@@ -193,18 +199,12 @@ def _allocate(params: ExtremalParams, rot: int, concentrated: bool, segregated: 
             for _ in range(3):
                 if caps[ti] == 0:
                     ti = max(range(n_t), key=lambda i: (caps[i], -i))
-                    if caps[ti] == 0:
-                        raise _Rejected("no capacity for triple components")
                 targets.append(ti)
                 caps[ti] -= 1
         else:
             for _ in range(3):
-                step = 0
                 while caps[cursor % n_t] == 0:
                     cursor += 1
-                    step += 1
-                    if step > n_t:
-                        raise _Rejected("no capacity for triple components")
                 targets.append(cursor % n_t)
                 caps[cursor % n_t] -= 1
                 cursor += 1
@@ -221,12 +221,8 @@ def _allocate(params: ExtremalParams, rot: int, concentrated: bool, segregated: 
         else:
             for _ in range(deg):
                 ti = max(range(n_t), key=lambda i: (caps[i], -i))
-                if caps[ti] == 0:
-                    raise _Rejected("capacities exhausted before S was placed")
                 caps[ti] -= 1
                 s_alloc[si][ti] += 1
-    if sum(caps) != params.cut_edges:
-        raise _Rejected("pendant count mismatch")
     return q3_targets, s_alloc, caps
 
 
@@ -399,6 +395,8 @@ def bsw_graph(params: BswParams) -> Multigraph:
 
 def _pairing_samples(n: int, d: int, seed: int) -> Iterator[Multigraph]:
     """Pairing-model samples, each a reshuffle of one stub list by one Random(seed)."""
+    if n < 1 or d < 0 or (n * d) % 2 == 1:
+        raise ValueError(f"need n >= 1, d >= 0 and n*d even, got n={n}, d={d}")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
     while True:
@@ -415,17 +413,11 @@ def random_regular_multigraph(n: int, d: int, seed: int) -> Multigraph:
     Loops and parallel edges are kept; the result is d-regular for every
     seed and identical across runs with the same seed.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if (n * d) % 2 == 1:
-        raise ValueError(f"n*d must be even, got n={n}, d={d}")
     return next(_pairing_samples(n, d, seed))
 
 
 def random_connected_regular_multigraph(n: int, d: int, seed: int) -> Multigraph:
     """Resample the pairing model until the graph is connected."""
-    if n < 1 or (n * d) % 2 == 1:
-        raise ValueError(f"need n >= 1 and n*d even, got n={n}, d={d}")
     for _, g in zip(range(MAX_TRIES), _pairing_samples(n, d, seed)):
         if is_connected(g):
             return g

@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .connectivity import bridges, vertex_connectivity
 from .factor import (
@@ -464,21 +464,7 @@ def main_sweep_tasks(r: int, k: int, trials: int, seed: int, sizes=(6, 8, 10, 12
 
 
 def charzn_sweep_tasks(r: int, k: int, seed: int = 0) -> list[tuple]:
-    tasks: list[tuple] = [
-        (
-            "extremal",
-            {
-                "r": p.r,
-                "k": p.k,
-                "size_t": p.size_t,
-                "size_s": p.size_s,
-                "blister_count": p.blister_count,
-                "extra_components": p.extra_components,
-                "seed": seed,
-            },
-        )
-        for p in extremal_parameter_grid(r, k)
-    ]
+    tasks: list[tuple] = [("extremal", {**asdict(p), "seed": seed}) for p in extremal_parameter_grid(r, k)]
     tasks.append(("control", {"r": r, "k": k}))
     return tasks
 
@@ -534,10 +520,8 @@ def run_task(task: tuple) -> VerificationReport:
             g, a["r"], a["k"], instance=f"main-r{a['r']}-k{a['k']}-n{a['n']}-i{a['index']}"
         )
     if kind == "extremal":
-        params = ExtremalParams(
-            a["r"], a["k"], a["size_t"], a["size_s"], a["blister_count"], a["extra_components"]
-        )
-        return verify_extremal_instance(params, a["seed"])
+        fields = {key: value for key, value in a.items() if key != "seed"}
+        return verify_extremal_instance(ExtremalParams(**fields), a["seed"])
     if kind == "control":
         return verify_control_instance(a["r"], a["k"])
     if kind == "bsw":

@@ -65,6 +65,14 @@ def test_generate_graph6_refuses_multigraph(capsys):
     assert "simple" in stderr
 
 
+@pytest.mark.parametrize("extra", [(), ("--connected",)])
+def test_generate_negative_degree_exit_2(capsys, extra):
+    code, stdout, stderr = run_cli(capsys, "generate", "random-regular", "--n", "4", "--d", "-1", "--seed", "0", *extra)
+    assert code == 2
+    assert stdout == ""
+    assert "d >= 0" in stderr
+
+
 def test_check_k4(tmp_path, capsys):
     path = tmp_path / "k4.mgf"
     path.write_text("mgf 4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")

@@ -164,15 +164,35 @@ def test_oracle_includes_empty_pair():
 
 
 def test_gadget_k4_node_count(k4):
-    gadget, edge_map = build_factor_gadget(k4, 2)
+    gadget, start = build_factor_gadget(k4, 2)
     assert gadget.n == 16  # 3 externals + 1 internal per vertex
-    assert len(edge_map) == k4.m
+    assert start == [0, 4, 8, 12, 16]
     assert gadget.is_simple()
+
+
+def test_gadget_layout_contract():
+    # a loop, a parallel pair and a vertex with no internal node (degree = ℓ)
+    g = Multigraph.from_edges(4, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
+    ell = 3
+    gadget, start = build_factor_gadget(g, ell)
+    assert start == [0, 5, 8, 13, 16]
+    ext = [range(start[v], start[v] + g.degree(v)) for v in range(g.n)]
+    owner = {x: v for v in range(g.n) for x in ext[v]}
+    for eid, u, v in g.edges():
+        a, b = gadget.edge(eid)
+        assert a != b and sorted((owner.get(a), owner.get(b))) == [u, v]
+    # every external node carries exactly one of g's edges, so a loop takes two
+    ends = sorted(x for eid in range(g.m) for x in gadget.edge(eid))
+    assert ends == sorted(owner)
+    for v in range(g.n):
+        for i in range(ext[v].stop, start[v + 1]):
+            nbrs = sorted(x for eid in gadget.incident(i) for x in gadget.edge(eid) if x != i)
+            assert nbrs == list(ext[v])
 
 
 def test_gadget_loop_vertex():
     g = Multigraph.from_edges(1, [(0, 0)])
-    gadget, edge_map = build_factor_gadget(g, 2)
+    gadget, _ = build_factor_gadget(g, 2)
     assert gadget.n == 2 and gadget.m == 1
     factor = find_factor(g, 2)
     assert factor is not None and factor.edge_ids == (0,)

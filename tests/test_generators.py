@@ -218,8 +218,10 @@ def test_pairing_model_trivial():
 
 
 def test_pairing_model_parity_rejected():
-    with pytest.raises(ValueError):
-        random_regular_multigraph(3, 3, seed=0)
+    for sampler in (random_regular_multigraph, random_connected_regular_multigraph):
+        for n, d in [(3, 3), (0, 2), (4, -1), (1, -2)]:
+            with pytest.raises(ValueError, match=r"need n >= 1, d >= 0 and n\*d even"):
+                sampler(n, d, seed=0)
 
 
 @given(st.integers(2, 10), st.integers(1, 6), st.integers(0, 1000))
