@@ -92,7 +92,10 @@ class PartitionCertificate:
 
 @dataclass
 class VerificationReport:
-    """One instance-level verdict, serializable as a JSON object."""
+    """One instance-level verdict, serializable as a JSON object.
+
+    ``run_task`` sets ``millis`` to the wall time of the task's graph build
+    and verdict; a verifier called directly leaves it at 0.0."""
 
     instance: str
     r: int
@@ -101,7 +104,7 @@ class VerificationReport:
     hypothesis_met: bool
     factor_found: bool
     passed: bool
-    millis: float
+    millis: float = 0.0
     witness: TutteWitness | None = None
     certificate: PartitionCertificate | None = None
     details: dict = field(default_factory=dict)
@@ -287,7 +290,6 @@ def verify_main_theorem(g: Multigraph, r: int, k: int, instance: str = "") -> Ve
     if g.regular_degree() != deg:
         raise ValueError(f"graph is not {deg}-regular")
     _check_rk(r, k)
-    start = time.perf_counter()
     p = len(bridges(g))
     hypothesis = p <= 2 * r - 3 * (k - 1)
     factor = find_factor(g, 2 * k) if hypothesis else None
@@ -295,7 +297,6 @@ def verify_main_theorem(g: Multigraph, r: int, k: int, instance: str = "") -> Ve
     witness = None
     if hypothesis and factor is None and g.n <= ORACLE_CAP:
         witness = exhaustive_tutte_oracle(g, 2 * k)
-    millis = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
         instance=instance or f"main-r{r}-k{k}-n{g.n}",
         r=r,
@@ -304,7 +305,6 @@ def verify_main_theorem(g: Multigraph, r: int, k: int, instance: str = "") -> Ve
         hypothesis_met=hypothesis,
         factor_found=factor is not None,
         passed=passed,
-        millis=millis,
         witness=witness,
         details={"n": g.n, "m": g.m, "cutEdgeBound": 2 * r - 3 * (k - 1)},
     )
@@ -313,10 +313,10 @@ def verify_main_theorem(g: Multigraph, r: int, k: int, instance: str = "") -> Ve
 def verify_bsw(params: BswParams, k: int) -> VerificationReport:
     """Build the clique-block graph and check regularity, connectivity, and
     the 2k-factor boundary 2k(2t+1) <= 2t(2r+1)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     r, t = params.r, params.t
-    start = time.perf_counter()
+    if not 1 <= k <= r:
+        # a (2r+1)-regular host has no factor of degree 2k > 2r+1
+        raise ValueError(f"need 1 <= k <= r, got k={k}, r={r}")
     g = bsw_graph(params)
     deg_ok = g.regular_degree() == 2 * r + 1
     kappa = vertex_connectivity(g)
@@ -339,7 +339,6 @@ def verify_bsw(params: BswParams, k: int) -> VerificationReport:
     else:
         crossings_ok = True
     passed = deg_ok and connectivity_ok and crossings_ok and (expect_factor == (factor is not None))
-    millis = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
         instance=f"bsw-r{r}-t{t}-k{k}",
         r=r,
@@ -348,7 +347,6 @@ def verify_bsw(params: BswParams, k: int) -> VerificationReport:
         hypothesis_met=True,
         factor_found=factor is not None,
         passed=passed,
-        millis=millis,
         details=details,
     )
 
@@ -371,7 +369,6 @@ def parity_audit(g: Multigraph, k: int, trials: int, seed: int, instance: str = 
     """Sample random disjoint (S, T) and confirm q(S,T) and d_{G-S}(T)
     always share a parity (even target degree 2k)."""
     rng = random.Random(seed)
-    start = time.perf_counter()
     violations = 0
     for _ in range(trials):
         s_set, t_set = set(), set()
@@ -384,7 +381,6 @@ def parity_audit(g: Multigraph, k: int, trials: int, seed: int, instance: str = 
         # for ℓ = 2k the deficiency has the parity of q - d
         if tutte_deficiency(g, 2 * k, s_set, t_set) % 2:
             violations += 1
-    millis = (time.perf_counter() - start) * 1000.0
     deg = g.regular_degree()
     return VerificationReport(
         instance=instance or f"parity-n{g.n}-m{g.m}-k{k}",
@@ -394,7 +390,6 @@ def parity_audit(g: Multigraph, k: int, trials: int, seed: int, instance: str = 
         hypothesis_met=True,
         factor_found=False,
         passed=violations == 0,
-        millis=millis,
         details={"trials": trials, "violations": violations},
     )
 
@@ -402,7 +397,6 @@ def parity_audit(g: Multigraph, k: int, trials: int, seed: int, instance: str = 
 def verify_extremal_instance(params: ExtremalParams, seed: int = 0) -> VerificationReport:
     """One extremal construction: exact cut-edge count, no 2k-factor, a
     passing certificate at the construction partition, full equality ledger."""
-    start = time.perf_counter()
     g, s_verts, t_verts = general_extremal_with_partition(params, seed)
     cut = bridges(g)
     p = len(cut)
@@ -410,7 +404,6 @@ def verify_extremal_instance(params: ExtremalParams, seed: int = 0) -> Verificat
     factor = find_factor(g, 2 * params.k)
     cert = _certificate(g, params.r, params.k, s_verts, t_verts, cut)
     passed = p_ok and factor is None and cert.all_conditions_hold and cert.all_equalities_hold
-    millis = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
         instance=f"extremal-r{params.r}-k{params.k}-t{params.size_t}-s{params.size_s}"
         f"-b{params.blister_count}-x{params.extra_components}",
@@ -420,7 +413,6 @@ def verify_extremal_instance(params: ExtremalParams, seed: int = 0) -> Verificat
         hypothesis_met=True,
         factor_found=factor is not None,
         passed=passed,
-        millis=millis,
         certificate=cert,
         details={"n": g.n, "m": g.m, "expectedCutEdges": params.cut_edges},
     )
@@ -429,14 +421,12 @@ def verify_extremal_instance(params: ExtremalParams, seed: int = 0) -> Verificat
 def verify_control_instance(r: int, k: int) -> VerificationReport:
     """Converse control: same cut-edge count, but a 2k-factor exists, so the
     characterization must produce no certificate."""
-    start = time.perf_counter()
     p = 2 * r + 4 - 3 * k
     g = bridged_chain(r, p)
     # characterization_check raises unless g has exactly p cut-edges
     cert = characterization_check(g, r, k)
     factor = find_factor(g, 2 * k)
     passed = cert is None and factor is not None
-    millis = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
         instance=f"control-chain-r{r}-k{k}",
         r=r,
@@ -445,7 +435,6 @@ def verify_control_instance(r: int, k: int) -> VerificationReport:
         hypothesis_met=True,
         factor_found=factor is not None,
         passed=passed,
-        millis=millis,
         details={"n": g.n, "certificateReturned": cert is not None},
     )
 
@@ -483,59 +472,44 @@ def parity_sweep_tasks(trials: int, seed: int) -> list[tuple]:
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     tasks = []
-    remaining = trials
-    i = 0
-    while remaining > 0:
-        batch = min(20, remaining)  # trials per random graph
+    for i, done in enumerate(range(0, trials, 20)):  # 20 trials per random graph
         n = 4 + (i % 9)  # 4..12
         if i % 3 == 0:
             d = 3 + 2 * (i % 2)
-            if (n * d) % 2 == 1:
-                n += 1
-            kind = ("regular", {"n": n, "d": d})
+            a = {"n": n + (n * d) % 2, "d": d}  # a d-regular graph needs n*d even
         else:
-            kind = ("plain", {"n": n, "m": n + (i % 7)})
-        tasks.append(
-            (
-                "parity",
-                {
-                    "graph": kind,
-                    "k": 1 + (i % 3),
-                    "trials": batch,
-                    "seed": seed * 7_777_777 + i,
-                    "index": i,
-                },
-            )
-        )
-        remaining -= batch
-        i += 1
+            a = {"n": n, "m": n + (i % 7)}
+        a.update(k=1 + (i % 3), trials=min(20, trials - done), seed=seed * 7_777_777 + i, index=i)
+        tasks.append(("parity", a))
     return tasks
 
 
 def run_task(task: tuple) -> VerificationReport:
+    """Build the task's graph, run its verifier, and time both into ``millis``."""
     kind, a = task
+    start = time.perf_counter()
     if kind == "main":
         g = random_connected_regular_multigraph(a["n"], 2 * a["r"] + 1, a["seed"])
-        return verify_main_theorem(
-            g, a["r"], a["k"], instance=f"main-r{a['r']}-k{a['k']}-n{a['n']}-i{a['index']}"
-        )
-    if kind == "extremal":
+        instance = f"main-r{a['r']}-k{a['k']}-n{a['n']}-i{a['index']}"
+        report = verify_main_theorem(g, a["r"], a["k"], instance=instance)
+    elif kind == "extremal":
         fields = {key: value for key, value in a.items() if key != "seed"}
-        return verify_extremal_instance(ExtremalParams(**fields), a["seed"])
-    if kind == "control":
-        return verify_control_instance(a["r"], a["k"])
-    if kind == "bsw":
-        return verify_bsw(BswParams(a["r"], a["t"]), a["k"])
-    if kind == "parity":
-        gk, ga = a["graph"]
-        if gk == "regular":
-            g = random_regular_multigraph(ga["n"], ga["d"], a["seed"])
+        report = verify_extremal_instance(ExtremalParams(**fields), a["seed"])
+    elif kind == "control":
+        report = verify_control_instance(a["r"], a["k"])
+    elif kind == "bsw":
+        report = verify_bsw(BswParams(a["r"], a["t"]), a["k"])
+    elif kind == "parity":
+        if "d" in a:
+            g = random_regular_multigraph(a["n"], a["d"], a["seed"])
         else:
-            g = random_multigraph(ga["n"], ga["m"], a["seed"])
-        return parity_audit(
-            g, a["k"], a["trials"], a["seed"] + 1, instance=f"parity-i{a['index']}-n{g.n}-m{g.m}"
-        )
-    raise ValueError(f"unknown task kind {kind!r}")
+            g = random_multigraph(a["n"], a["m"], a["seed"])
+        instance = f"parity-i{a['index']}-n{g.n}-m{g.m}"
+        report = parity_audit(g, a["k"], a["trials"], a["seed"] + 1, instance=instance)
+    else:
+        raise ValueError(f"unknown task kind {kind!r}")
+    report.millis = (time.perf_counter() - start) * 1000.0
+    return report
 
 
 def run_tasks(tasks: list[tuple], jobs: int = 1) -> list[VerificationReport]:

@@ -206,6 +206,15 @@ def test_verify_bsw_rejects_bad_rt(capsys, r, t):
     assert "need 1 <= t < r" in stderr
 
 
+@pytest.mark.parametrize("k", ["4", "0"])
+def test_verify_bsw_rejects_k_outside_1_to_r(capsys, k):
+    # the 7-regular host has no factor of degree 8, so k = 4 would pass without checking anything
+    code, stdout, stderr = run_cli(capsys, "verify", "bsw", "--r", "3", "--t", "1", "--k", k)
+    assert code == 2
+    assert stdout == ""
+    assert "need 1 <= k <= r" in stderr
+
+
 @pytest.mark.parametrize("script", ["run_verification.py", "build_gallery.py"])
 def test_scripts_run_from_plain_checkout(script, tmp_path):
     # no install and no PYTHONPATH: the script must find the checkout's src/ itself

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -29,7 +30,15 @@ from regfactor import (
     verify_main_theorem,
 )
 from regfactor import verifier
-from regfactor.verifier import _orient_bridges, main_sweep_tasks, parity_sweep_tasks, run_task, run_tasks
+from regfactor.verifier import (
+    _orient_bridges,
+    bsw_sweep_tasks,
+    charzn_sweep_tasks,
+    main_sweep_tasks,
+    parity_sweep_tasks,
+    run_task,
+    run_tasks,
+)
 
 from helpers import bridged_blocks, multigraphs, naive_bridge_orientation, naive_conditions
 
@@ -298,6 +307,25 @@ def test_parity_sweep_tasks_batching():
     assert all(rep.passed for rep in reports)
 
 
+def test_parity_sweep_tasks_pinned_graphs():
+    # instance, r and p depend on each task's n, d or m and seed, so a sweep
+    # that samples a different graph changes a row here
+    def rows(trials, seed):
+        reports = map(run_task, parity_sweep_tasks(trials, seed))
+        return [(rep.instance, rep.r, rep.k, rep.p, rep.details) for rep in reports]
+
+    assert rows(95, 0) == [
+        ("parity-i0-n4-m6", 1, 1, 0, {"trials": 20, "violations": 0}),
+        ("parity-i1-n5-m6", -1, 2, 3, {"trials": 20, "violations": 0}),
+        ("parity-i2-n6-m8", -1, 3, 0, {"trials": 20, "violations": 0}),
+        ("parity-i3-n8-m20", 2, 1, 1, {"trials": 20, "violations": 0}),
+        ("parity-i4-n8-m12", -1, 2, 2, {"trials": 15, "violations": 0}),
+    ]
+    # 51 graphs reach every residue of the index that picks n, d and m
+    digest = hashlib.sha256(json.dumps(rows(1001, 3)).encode()).hexdigest()
+    assert digest == "55d5c82e6503e1d6fad7caf095bb3fb79bc6d1ab7dbfeb4a9967dc7dd35a1168"
+
+
 # -- report serialization -------------------------------------------------------------------
 
 
@@ -309,14 +337,30 @@ def test_report_json_schema(k4):
         assert key in data
 
 
-def test_run_tasks_parallel_matches_serial():
-    tasks = main_sweep_tasks(1, 1, trials=8, seed=9)
+@pytest.mark.parametrize(
+    "tasks",
+    [main_sweep_tasks(1, 1, trials=8, seed=9), parity_sweep_tasks(trials=45, seed=2)],
+    ids=["main", "parity"],
+)
+def test_run_tasks_parallel_matches_serial(tasks):
     serial = [rep.to_json() for rep in run_tasks(tasks, jobs=1)]
     parallel = [rep.to_json() for rep in run_tasks(tasks, jobs=2)]
     for a, b in zip(serial, parallel):
         a.pop("millis")
         b.pop("millis")
     assert serial == parallel
+
+
+def test_run_task_owns_the_clock(k4):
+    tasks = [
+        main_sweep_tasks(1, 1, trials=1, seed=0)[0],
+        *charzn_sweep_tasks(1, 1)[-2:],  # the last extremal task and the control
+        bsw_sweep_tasks(2, 1, k=1)[0],
+        parity_sweep_tasks(trials=1, seed=0)[0],
+    ]
+    assert [kind for kind, _ in tasks] == ["main", "extremal", "control", "bsw", "parity"]
+    assert all(run_task(task).millis > 0 for task in tasks)
+    assert verify_main_theorem(k4, 1, 1).millis == 0.0
 
 
 def test_run_tasks_starts_no_more_workers_than_tasks(monkeypatch):
