@@ -179,7 +179,7 @@ def tutte_deficiency(g: Multigraph, ell: int, s: Iterable[int], t: Iterable[int]
     return q - d - ell * (len(ss) - len(st))
 
 
-def exhaustive_tutte_oracle(g: Multigraph, ell: int, cap: int = ORACLE_CAP) -> TutteWitness | None:
+def exhaustive_tutte_oracle(g: Multigraph, ell: int) -> TutteWitness | None:
     """Scan all disjoint (S,T) pairs for a criterion violation.
 
     Returns the maximum-deficiency witness whose ``(S, T)`` tuple is
@@ -195,13 +195,13 @@ def exhaustive_tutte_oracle(g: Multigraph, ell: int, cap: int = ORACLE_CAP) -> T
     ≡ ℓn (mod 2) (Lovász 1970: q ≡ e(T, R) + ℓ|R| and d ≡ e(T, R), R the
     rest).  At a leaf the bound is the deficiency, and a pair that ties the
     running best is never cut, so the witness does not depend on the search
-    order.  The scan is 3^n, so graphs above `cap` vertices are refused.
+    order.  The scan is 3^n, so graphs above ``ORACLE_CAP`` vertices are refused.
     """
     if ell < 1:
         raise ValueError(f"factor degree must be >= 1, got {ell}")
     n = g.n
-    if n > cap:
-        raise ValueError(f"oracle refuses {n} vertices (cap {cap}; the scan is 3^n)")
+    if n > ORACLE_CAP:
+        raise ValueError(f"oracle refuses {n} vertices (cap {ORACLE_CAP}; the scan is 3^n)")
 
     loops = [0] * n
     plain: list[tuple[int, int]] = []

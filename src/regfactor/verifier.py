@@ -444,8 +444,8 @@ def verify_control_instance(r: int, k: int) -> VerificationReport:
 
 def main_sweep_tasks(r: int, k: int, trials: int, seed: int, sizes=(6, 8, 10, 12, 14)) -> list[tuple]:
     _check_rk(r, k)
-    if trials < 0:
-        raise ValueError(f"trials must be non-negative, got {trials}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     return [
         ("main", {"r": r, "k": k, "n": sizes[i % len(sizes)], "seed": seed * 1_000_003 + i, "index": i})
         for i in range(trials)
@@ -469,8 +469,8 @@ def bsw_sweep_tasks(r: int, t: int, k: int | None = None) -> list[tuple]:
 
 
 def parity_sweep_tasks(trials: int, seed: int) -> list[tuple]:
-    if trials < 0:
-        raise ValueError(f"trials must be non-negative, got {trials}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     tasks = []
     for i, done in enumerate(range(0, trials, 20)):  # 20 trials per random graph
         n = 4 + (i % 9)  # 4..12

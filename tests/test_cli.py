@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -57,6 +58,85 @@ def test_generate_formats(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "generate", "named", "--name", "petersen", "--format", "dot", "--out", str(dot))
     assert code == 0
     assert dot.read_text().startswith("graph G {")
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, summary, digest",
+    [
+        (
+            ("extremal", "--r", "1", "--k", "1", "--size-t", "3", "--size-s", "1", "--blisters", "1", "--extra", "1", "--seed", "2"),
+            {"n": 22, "m": 33, "regular": 3, "bridges": 3},
+            "d065f87b004081330f952cd9978c72281ac7b83871a31f691204613d3481da49",
+        ),
+        (
+            ("random-regular", "--n", "10", "--d", "3", "--seed", "7", "--connected"),
+            {"n": 10, "m": 15, "regular": 3, "bridges": 1},
+            "562f47feb2f97e087b0f4a5701cb743b2ef177a32f60aeb1ef847e8604850770",
+        ),
+        (
+            ("named", "--name", "cycle"),
+            {"n": 5, "m": 5, "regular": 2, "bridges": 0},
+            "250af20857ae96eda58af65e0cc83f4f4412a09ddf74b6a2265128098c0e4cc6",
+        ),
+        (
+            ("named", "--name", "complete", "--n", "4"),
+            {"n": 4, "m": 6, "regular": 3, "bridges": 0},
+            "b04a7a0142382578a75ded1851d6f695796711b731243a23204043f8f6617ff9",
+        ),
+        (
+            ("bsw", "--r", "2", "--t", "1", "--format", "graph6"),
+            {"n": 38, "m": 95, "regular": 5, "bridges": 0},
+            "62b9362bd87cb1a8b68d1005f4a2d73fd7c6aeb54ec124b807b60871ed06beb3",
+        ),
+    ],
+    ids=["extremal", "random-regular-connected", "named-cycle", "named-complete", "bsw-graph6"],
+)
+def test_generate_to_stdout_pinned(capsys, argv, summary, digest):
+    code, stdout, stderr = run_cli(capsys, "generate", *argv)
+    assert code == 0
+    assert json.loads(stderr) == summary
+    assert sha256(stdout) == digest
+
+
+@pytest.mark.parametrize(
+    "name, generate, check, digest",
+    [
+        # explicit formats that override the file name's suffix both ways
+        (
+            "petersen.txt",
+            ("--name", "petersen", "--format", "graph6"),
+            ("--format", "graph6"),
+            "636e828a32eef25ba4fc07ba1ae964b85f0466c6a0bd6cba4aae0a0b02b994ee",
+        ),
+        (
+            "k4.g6",
+            ("--name", "complete", "--n", "4"),
+            ("--format", "mgf"),
+            "197776f3d7e8e87af05de7b5c6946614a390f322e9b0917417d5c024d24e4b66",
+        ),
+        (
+            "petersen.g6",
+            ("--name", "petersen", "--format", "graph6"),
+            ("--oracle",),
+            "818fbc766d516b61c8efc8881cca7bd0c74dadb018013b4b77b77bc1652a76f9",
+        ),
+    ],
+    ids=["graph6-explicit", "mgf-explicit", "graph6-auto-oracle"],
+)
+def test_check_format_pinned(tmp_path, capsys, name, generate, check, digest):
+    path = tmp_path / name
+    code, summary, _ = run_cli(capsys, "generate", "named", *generate, "--out", str(path))
+    assert code == 0
+    code, stdout, _ = run_cli(capsys, "check", "--input", str(path), "--k", "1", *check)
+    assert code == 0
+    report = json.loads(stdout)
+    assert report.pop("input") == str(path)
+    assert {key: report[key] for key in ("n", "m", "regular", "bridges")} == json.loads(summary)
+    assert sha256(json.dumps(report)) == digest
 
 
 def test_generate_graph6_refuses_multigraph(capsys):
@@ -173,13 +253,20 @@ def test_usage_error_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [("main", "--r", "1", "--k", "1", "--trials", "-1"), ("parity", "--trials", "-3")]
+    "argv",
+    [
+        ("main", "--r", "1", "--k", "1", "--trials", "-1"),
+        ("parity", "--trials", "-3"),
+        ("main", "--r", "1", "--k", "1", "--trials", "0"),
+        ("parity", "--trials", "0"),
+    ],
 )
 def test_verify_negative_trials_exit_2(capsys, argv):
+    # an empty sweep prints no report, so exiting 0 would claim a check that never ran
     code, stdout, stderr = run_cli(capsys, "verify", *argv)
     assert code == 2
     assert stdout == ""
-    assert "trials must be non-negative" in stderr
+    assert "trials must be >= 1" in stderr
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -223,3 +310,16 @@ def test_scripts_run_from_plain_checkout(script, tmp_path):
     proc = subprocess.run([sys.executable, str(path), "--help"], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:")
+
+
+def test_python_m_regfactor_runs(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "regfactor", "verify", "bsw", "--r", "2", "--t", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert len(lines) == 2
+    assert all(json.loads(ln)["pass"] for ln in lines)
