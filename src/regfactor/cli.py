@@ -71,6 +71,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise ValueError(f"--k must be >= 1, got {args.k}")
     with open(args.input) as fh:
         text = fh.read()
     # "auto" is no reader: it picks one by the file name's suffix
@@ -166,10 +168,18 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p)
 
     catalog = named_graphs()
+
+    def build_named(a: argparse.Namespace):
+        if a.name != "petersen":
+            return catalog[a.name](5 if a.n is None else a.n)
+        if a.n is not None:
+            raise ValueError("--n does not apply to petersen, which has 10 vertices")
+        return catalog[a.name]()
+
     p = gen_sub.add_parser("named", help="catalog graphs")
-    p.set_defaults(build=lambda a: catalog[a.name]() if a.name == "petersen" else catalog[a.name](a.n))
+    p.set_defaults(build=build_named)
     p.add_argument("--name", choices=sorted(catalog), required=True)
-    p.add_argument("--n", type=int, default=5)
+    p.add_argument("--n", type=int, help="vertex count for complete and cycle (default: 5)")
     add_output(p)
 
     chk = sub.add_parser("check", help="analyze a graph file")

@@ -178,51 +178,43 @@ def _allocate(params: ExtremalParams, rot: int, concentrated: bool, segregated: 
     Returns (q3_targets, s_alloc, pendants): target t-indices for each
     triple component, the S-T multiplicity matrix, and pendant counts per
     t-vertex.  Every t ends with degree exactly 2r+1.  The triple edges
-    either cycle over T (gluing the t-vertices together) or concentrate on
-    the fullest t; S-edges either spread near-evenly or land on a single t.
+    either cycle over T from t-vertex rot (gluing the t-vertices together)
+    or go three at a time to the fullest t; S-edges either spread one at a
+    time or land on a single t.
 
-    Only the segregated placement can be rejected.  With diff = |T| - |S|
-    the capacities start at (2r+1)|T| and the triples take 3(k·diff - 1) <
-    (2r+1)·diff of it, so spreading S's (2r+1)|S| edges leaves at least 3.
-    The capacity left, diff·(2r+1-3k) + 3, is 2r+4-3k by condition (f):
-    exactly one pendant per cut-edge.
+    The triples are placed first, so every capacity starts at D = 2r+1, and
+    with diff = |T| - |S| they take 3(k·diff - 1) < diff·D <= |T|·D edges.
+    Cycling therefore gives no t-vertex more than D.  Concentrating keeps
+    every capacity ≡ D (mod 3), so a fullest capacity below 3 would mean
+    3|T|⌊D/3⌋ edges placed already, more than the triples hold because
+    k <= ⌊D/3⌋.  Only the segregated placement can be rejected: spreading
+    S's D|S| edges always finds room, because the capacity left after them,
+    D·diff - 3(k·diff - 1) = diff·(2r+1-3k) + 3, is at least 3.  By
+    condition (f) it is 2r+4-3k: exactly one pendant per cut-edge.
     """
     deg = 2 * params.r + 1
     n_t = params.size_t
     caps = [deg] * n_t
+
+    def fullest() -> int:
+        return max(range(n_t), key=lambda i: (caps[i], -i))
+
     q3_targets: list[list[int]] = []
-    cursor = rot % n_t
-    for _ in range(params.triple_components):
-        targets = []
-        if concentrated:
-            ti = max(range(n_t), key=lambda i: (caps[i], -i))
-            for _ in range(3):
-                if caps[ti] == 0:
-                    ti = max(range(n_t), key=lambda i: (caps[i], -i))
-                targets.append(ti)
-                caps[ti] -= 1
-        else:
-            for _ in range(3):
-                while caps[cursor % n_t] == 0:
-                    cursor += 1
-                targets.append(cursor % n_t)
-                caps[cursor % n_t] -= 1
-                cursor += 1
+    for j in range(params.triple_components):
+        targets = [fullest()] * 3 if concentrated else [(rot + 3 * j + e) % n_t for e in range(3)]
+        for ti in targets:
+            caps[ti] -= 1
         q3_targets.append(targets)
 
     s_alloc = [[0] * n_t for _ in range(params.size_s)]
-    for si in range(params.size_s):
-        if segregated:
-            ti = max(range(n_t), key=lambda i: (caps[i], -i))
-            if caps[ti] < deg:
+    chunk = deg if segregated else 1
+    for row in s_alloc:
+        for _ in range(deg // chunk):
+            ti = fullest()
+            if caps[ti] < chunk:
                 raise _Rejected("no single t-vertex can absorb a full S-vertex")
-            caps[ti] -= deg
-            s_alloc[si][ti] = deg
-        else:
-            for _ in range(deg):
-                ti = max(range(n_t), key=lambda i: (caps[i], -i))
-                caps[ti] -= 1
-                s_alloc[si][ti] += 1
+            caps[ti] -= chunk
+            row[ti] += chunk
     return q3_targets, s_alloc, caps
 
 
@@ -231,40 +223,32 @@ def _build_extremal(params: ExtremalParams, rot: int, concentrated: bool, segreg
     q3_targets, s_alloc, pendants = _allocate(params, rot, concentrated, segregated)
     n_t, n_s = params.size_t, params.size_s
     g = Multigraph(n_t + n_s)
-    t_verts = tuple(range(n_t))
-    s_verts = tuple(range(n_t, n_t + n_s))
     for si in range(n_s):
         for ti in range(n_t):
             for _ in range(s_alloc[si][ti]):
                 g.add_edge(n_t + si, ti)
+    triple, triple_attach = deficiency_component(r, 3)
     for targets in q3_targets:
-        comp, attach = deficiency_component(r, 3)
-        offset = _append(g, comp)
+        offset = _append(g, triple)
         for ti in targets:
-            g.add_edge(offset + attach, ti)
+            g.add_edge(offset + triple_attach, ti)
+    pendant, pendant_attach = deficiency_component(r, 1)
     for ti in range(n_t):
         for _ in range(pendants[ti]):
-            comp, attach = deficiency_component(r, 1)
-            offset = _append(g, comp)
-            g.add_edge(offset + attach, ti)
+            g.add_edge(_append(g, pendant) + pendant_attach, ti)
 
+    # S's edges were added first and all end in T, and blister() keeps the
+    # other edges in order and appends its two new ones, so edge 0 stays the
+    # first S-T edge.  Splicing a patch into a non-bridge leaves the bridges
+    # as they were; an S-T bridge fails the audit whichever edge is patched.
+    if params.blister_count > (2 * r + 1) * n_s:
+        raise _Rejected("no blisterable S-T edge left")
+    patch = complete_graph(2 * r + 2)
     for _ in range(params.blister_count):
-        cut = set(bridges(g))
-        s_set, t_set = set(s_verts), set(t_verts)
-        candidates = [
-            eid
-            for eid, u, v in g.edges()
-            if eid not in cut
-            and ((u in s_set and v in t_set) or (u in t_set and v in s_set))
-        ]
-        if not candidates:
-            raise _Rejected("no blisterable S-T edge left")
-        patch = complete_graph(2 * r + 2)
-        g = blister(g, candidates[0], patch, 0)
-
+        g = blister(g, 0, patch, 0)
     for _ in range(params.extra_components):
-        _append(g, complete_graph(2 * r + 2))
-    return g, s_verts, t_verts
+        _append(g, patch)
+    return g, tuple(range(n_t, n_t + n_s)), tuple(range(n_t))
 
 
 def _extremal_audit(g: Multigraph, params: ExtremalParams, s_verts, t_verts) -> str | None:
@@ -341,17 +325,13 @@ def bridged_chain(r: int, num_bridges: int) -> Multigraph:
         raise ValueError("need r >= 1 and num_bridges >= 1")
     g = Multigraph(0)
     comp, attach = deficiency_component(r, 1)
+    block, entry, exit_ = _interior_block(r)
     previous = _append(g, comp) + attach
-    for i in range(num_bridges):
-        if i == num_bridges - 1:
-            comp, attach = deficiency_component(r, 1)
-            offset = _append(g, comp)
-            g.add_edge(previous, offset + attach)
-        else:
-            block, entry, exit_ = _interior_block(r)
-            offset = _append(g, block)
-            g.add_edge(previous, offset + entry)
-            previous = offset + exit_
+    for _ in range(num_bridges - 1):
+        offset = _append(g, block)
+        g.add_edge(previous, offset + entry)
+        previous = offset + exit_
+    g.add_edge(previous, _append(g, comp) + attach)
     return g
 
 
@@ -363,8 +343,7 @@ def h_rt(r: int, t: int) -> Multigraph:
 
     The 2t+1 cycle vertices end with degree 2r, all others 2r+1.
     """
-    if not 1 <= t < r:
-        raise ValueError(f"need 1 <= t < r, got t={t}, r={r}")
+    BswParams(r, t)  # validates 1 <= t < r
     cyc = 2 * t + 1
     ring = [(i, (i + 1) % cyc) for i in range(cyc)]
     pairs = [(cyc + 2 * j, cyc + 2 * j + 1) for j in range(r - t + 1)]

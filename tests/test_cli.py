@@ -164,6 +164,28 @@ def test_check_k4(tmp_path, capsys):
     assert "witness" not in report
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_check_k_below_1_exit_2(tmp_path, capsys, k):
+    # the factor degree is 2k, so the message must name --k and the value typed, not 2k
+    path = tmp_path / "k4.mgf"
+    path.write_text("mgf 4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    code, stdout, stderr = run_cli(capsys, "check", "--input", str(path), "--k", k)
+    assert code == 2
+    assert stdout == ""
+    assert f"--k must be >= 1, got {k}" in stderr
+
+
+def test_generate_named_petersen_rejects_n(capsys):
+    code, stdout, stderr = run_cli(capsys, "generate", "named", "--name", "petersen", "--n", "7")
+    assert code == 2
+    assert stdout == ""
+    assert "--n does not apply to petersen" in stderr
+    for name in ("cycle", "complete"):
+        code, _, stderr = run_cli(capsys, "generate", "named", "--name", name)
+        assert code == 0
+        assert json.loads(stderr)["n"] == 5
+
+
 def test_check_sylvester_witness(tmp_path, capsys):
     out = tmp_path / "syl.mgf"
     run_cli(capsys, "generate", "sylvester", "--r", "1", "--k", "1", "--out", str(out))

@@ -233,6 +233,17 @@ def test_find_factor_empty_graph():
     assert factor is not None and factor.edge_ids == ()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [find_factor, build_factor_gadget, lambda g, ell: tutte_deficiency(g, ell, (), ()), exhaustive_tutte_oracle],
+    ids=["find_factor", "build_factor_gadget", "tutte_deficiency", "exhaustive_tutte_oracle"],
+)
+@pytest.mark.parametrize("ell", [0, -2])
+def test_factor_degree_below_1_rejected(k4, call, ell):
+    with pytest.raises(ValueError, match=f"factor degree must be >= 1, got {ell}"):
+        call(k4, ell)
+
+
 def test_has_2k_factor(k4):
     assert has_2k_factor(k4, 1)
     assert not has_2k_factor(sylvester_extremal(1, 1), 1)

@@ -357,3 +357,32 @@ def test_generator_output_pinned(family):
     build, expected = PINNED_FAMILIES[family]
     text = "".join(to_mgf(g) for g in build())
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+def _extremal_sweep_outcomes():
+    """Every r <= 3 cell with diff <= 3 where allowed, |S| <= 3, blisters <= 6,
+    extras <= 1 and every seed below |T|: the graph and (S, T), or the error."""
+    for r in range(1, 4):
+        for k in range(1, (2 * r + 1) // 3 + 1):
+            for diff in range(1, 4) if 3 * k == 2 * r + 1 else (1,):
+                for size_s in range(4):
+                    for b in range(7) if size_s else (0,):
+                        for x in (0, 1):
+                            params = ExtremalParams(r, k, size_s + diff, size_s, b, x)
+                            for seed in range(params.size_t):
+                                try:
+                                    g, s, t = general_extremal_with_partition(params, seed)
+                                except ValueError as exc:
+                                    yield f"error: {exc}\n"
+                                else:
+                                    yield to_mgf(g) + repr((s, t)) + "\n"
+
+
+def test_extremal_builder_outcomes_pinned():
+    outcomes = list(_extremal_sweep_outcomes())
+    assert len(outcomes) == 900
+    assert sum(o.startswith("error: ") for o in outcomes) == 58
+    digest = hashlib.sha256("".join(outcomes).encode()).hexdigest()
+    assert digest == "19c4237d9cdc29a6f3e563e2f864c58f1596f44383d0efad77c52b263632993d"
+    chains = "".join(to_mgf(bridged_chain(r, p)) for r in range(1, 4) for p in range(1, 5))
+    assert hashlib.sha256(chains.encode()).hexdigest() == "63d531f823b45891f91ce0e9af3094632eea98d8bbe2aec041527fc12d8d1d57"

@@ -45,6 +45,12 @@ def test_degree_unknown_vertex(k4):
         k4.degree(7)
 
 
+@pytest.mark.parametrize("eid", [6, -1])
+def test_edge_unknown_id(k4, eid):
+    with pytest.raises(ValueError, match=f"unknown edge id {eid}"):
+        k4.edge(eid)
+
+
 def test_degree_sum_empty(k4):
     assert k4.degree_sum(()) == 0
 

@@ -167,6 +167,16 @@ def test_characterization_wrong_bridge_count(k4):
 
 
 @pytest.mark.parametrize(
+    "g, r",
+    [(complete_graph(4), 2), (Multigraph.from_edges(3, [(0, 1), (1, 2)]), 1)],
+    ids=["k4-as-5-regular", "path"],
+)
+def test_characterization_rejects_wrong_degree(g, r):
+    with pytest.raises(ValueError, match=f"characterization applies to {2 * r + 1}-regular graphs"):
+        characterization_check(g, r, 1)
+
+
+@pytest.mark.parametrize(
     "g, r, k",
     [(complete_graph(4), 1, 2), (petersen_graph(), 1, 2), (complete_graph(6), 2, 3)],
     ids=["k4", "petersen", "k6"],
@@ -288,6 +298,13 @@ def test_bsw_2_factor_exists():
 def test_bsw_r3_no_6_factor():
     rep = verify_bsw(BswParams(3, 1), k=3)  # 3 > 7/3
     assert rep.passed and not rep.factor_found
+
+
+@pytest.mark.parametrize(
+    "r, t, ks", [(2, 1, [1, 2]), (3, 1, [2, 3]), (3, 2, [2, 3]), (4, 1, [3, 4])]
+)
+def test_bsw_sweep_tasks_default_k_straddles_boundary(r, t, ks):
+    assert bsw_sweep_tasks(r, t) == [("bsw", {"r": r, "t": t, "k": k}) for k in ks]
 
 
 # -- parity audit ------------------------------------------------------------------------
