@@ -10,13 +10,15 @@ network per call, made of unit arcs: arc a and its reverse a ^ 1 sit side
 by side, and each (s, t) flow uses up a fresh copy of the capacities.  For
 edge connectivity each parallel copy of an edge is its own unit arc in each
 direction.  Vertex connectivity uses the usual vertex-splitting
-construction over non-adjacent pairs, with the complete-graph convention
-K_n -> n - 1; parallel edges collapse to one adjacency.  Following Even
-(SIAM J. Comput. 1975), flow sources stop at the running minimum, so at
-most kappa + 1 vertices serve as sources instead of all n.
+construction, with the complete-graph convention K_n -> n - 1; parallel
+edges collapse to one adjacency.  Following Esfahanian and Hakimi
+(Networks 1984), flows run only from one vertex v of minimum degree and
+between non-adjacent neighbours of v, not between all non-adjacent pairs.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .multigraph import Multigraph
 
@@ -137,15 +139,15 @@ def vertex_connectivity(g: Multigraph) -> int:
     2w+1 -> 2u.  A flow from 2s+1 to 2t passes at most one unit through any
     other vertex, so unit arcs count vertex-disjoint s-t paths.
 
-    Flow sources run s = 0, 1, ... while s < best (Even's "i <= k", counted
-    from 1), each against every non-adjacent target t > s.  This is exact:
-    take a minimum cut C with |C| = kappa.  Some vertex among the first
-    kappa + 1 is not in C; let i <= kappa be the smallest such index.  Every
-    vertex below i is in C, so the other side of G - C holds a vertex j > i
-    not adjacent to i, and the flow for (i, j) is at most kappa.  No flow
-    between non-adjacent vertices is below kappa, so best >= kappa
-    throughout.  While best > kappa the loop still runs at s = i < best, and
-    once best == kappa there is nothing left to find.
+    Flows run from v, the vertex of fewest neighbours with the lowest id,
+    to each non-neighbour, then between each non-adjacent pair of v's
+    neighbours (Esfahanian and Hakimi).  This is exact: take a minimum
+    separator C.  If v is not in C, some vertex on the far side of G - C is
+    not adjacent to v, and the flow from v to it is at most |C|.  If v is in
+    C, then v has a neighbour on each side of G - C, or C - v would separate
+    too; those two neighbours are not adjacent, and C separates them.  No
+    flow between non-adjacent vertices is below kappa, so `best` never
+    drops below it and `limit = best` cuts no flow short of kappa.
     """
     if any(u == v for _, u, v in g.edges()):
         raise ValueError("vertex connectivity is defined for loop-free graphs")
@@ -159,11 +161,10 @@ def vertex_connectivity(g: Multigraph) -> int:
     arcs = [(2 * v, 2 * v + 1) for v in range(n)]
     arcs += [(2 * u + 1, 2 * w) for u in range(n) for w in adj[u]]
     out, head, cap = _network(2 * n, arcs)
+    v = min(range(n), key=lambda u: len(adj[u]))
+    pairs = [(v, t) for t in range(n) if t != v and t not in adj[v]]
+    pairs += [(a, b) for a, b in combinations(sorted(adj[v]), 2) if b not in adj[a]]
     best = n - 1
-    s = 0
-    while s < best:
-        for t in range(s + 1, n):
-            if t not in adj[s]:
-                best = min(best, _max_flow(out, head, cap[:], 2 * s + 1, 2 * t, best))
-        s += 1
+    for s, t in pairs:
+        best = min(best, _max_flow(out, head, cap[:], 2 * s + 1, 2 * t, best))
     return best

@@ -139,6 +139,12 @@ def blister(g: Multigraph, edge_id: int, h: Multigraph, h_edge_id: int) -> Multi
     (2r+1)-regular for the same r; the result is again (2r+1)-regular.
     The h-edge may be a loop only when r > 1.
     """
+    _check_blister(g, edge_id, h, h_edge_id)
+    return _splice(g, edge_id, h, h_edge_id)
+
+
+def _check_blister(g: Multigraph, edge_id: int, h: Multigraph, h_edge_id: int) -> None:
+    """Raise ValueError unless `blister(g, edge_id, h, h_edge_id)` is valid."""
     dg = g.regular_degree()
     dh = h.regular_degree()
     if dg is None or dh is None or dg != dh or dg % 2 == 0 or dg < 3:
@@ -153,6 +159,11 @@ def blister(g: Multigraph, edge_id: int, h: Multigraph, h_edge_id: int) -> Multi
     if bridges(h):
         raise ValueError("the patch graph must have no cut-edge")
 
+
+def _splice(g: Multigraph, edge_id: int, h: Multigraph, h_edge_id: int) -> Multigraph:
+    """`blister` without its input checks."""
+    u, v = g.edge(edge_id)
+    x, y = h.edge(h_edge_id)
     out = Multigraph(g.n + h.n)
     for eid, a, b in g.edges():
         if eid != edge_id:
@@ -237,15 +248,19 @@ def _build_extremal(params: ExtremalParams, rot: int, concentrated: bool, segreg
         for _ in range(pendants[ti]):
             g.add_edge(_append(g, pendant) + pendant_attach, ti)
 
-    # S's edges were added first and all end in T, and blister() keeps the
+    # S's edges were added first and all end in T, and a splice keeps the
     # other edges in order and appends its two new ones, so edge 0 stays the
     # first S-T edge.  Splicing a patch into a non-bridge leaves the bridges
     # as they were; an S-T bridge fails the audit whichever edge is patched.
+    # A splice keeps g regular and edge 0 is never a loop, so blister()'s
+    # checks, run once, hold for every splice of the same patch.
     if params.blister_count > (2 * r + 1) * n_s:
         raise _Rejected("no blisterable S-T edge left")
     patch = complete_graph(2 * r + 2)
+    if params.blister_count:
+        _check_blister(g, 0, patch, 0)
     for _ in range(params.blister_count):
-        g = blister(g, 0, patch, 0)
+        g = _splice(g, 0, patch, 0)
     for _ in range(params.extra_components):
         _append(g, patch)
     return g, tuple(range(n_t, n_t + n_s)), tuple(range(n_t))

@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 
+import regfactor.connectivity
 from regfactor import (
     Multigraph,
     blister,
@@ -93,6 +96,33 @@ def test_vertex_connectivity_bsw():
     # exact values pinned by details.vertexConnectivity in verify_bsw reports
     for (r, t), kappa in {(2, 1): 3, (3, 1): 3, (3, 2): 5, (4, 1): 3}.items():
         assert vertex_connectivity(bsw_graph(BswParams(r, t))) == kappa
+
+
+def test_vertex_connectivity_flows_run_on_bsw_hosts(monkeypatch):
+    # flows from one minimum-degree vertex and between its non-adjacent
+    # neighbours, pinned beside kappa so a change in the work done shows
+    flows = 0
+    max_flow = regfactor.connectivity._max_flow
+
+    def counted(*args):
+        nonlocal flows
+        flows += 1
+        return max_flow(*args)
+
+    monkeypatch.setattr(regfactor.connectivity, "_max_flow", counted)
+    for (r, t), expected in {(2, 1): (3, 42), (3, 1): (3, 79), (3, 2): (5, 81), (4, 1): (3, 128)}.items():
+        flows = 0
+        kappa = vertex_connectivity(bsw_graph(BswParams(r, t)))
+        assert (kappa, flows) == expected
+
+
+def test_vertex_connectivity_cut_vertex_of_minimum_degree():
+    # vertex 0 has minimum degree 4 (two edges into each of two K5s) and is
+    # the only cut vertex: every flow from 0 is 2, so only the flow between
+    # two of its non-adjacent neighbours finds kappa = 1
+    edges = [(0, 1), (0, 2), (0, 6), (0, 7)]
+    edges += list(combinations(range(1, 6), 2)) + list(combinations(range(6, 11), 2))
+    assert vertex_connectivity(Multigraph.from_edges(11, edges)) == 1
 
 
 def test_vertex_connectivity_collapses_parallel_edges():

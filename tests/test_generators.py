@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import regfactor.generators
 from regfactor import (
     BswParams,
     ExtremalParams,
@@ -134,6 +135,23 @@ def test_blister_loop_patch_edge():
     cubic_edge = next(eid for eid, u, v in cubic_host.edges() if u != v)
     with pytest.raises(ValueError, match="r > 1"):
         blister(cubic_host, cubic_edge, cubic_patch, 0)
+
+
+def test_extremal_build_checks_its_patch_once(monkeypatch):
+    # blister()'s bridges(patch) check runs once per build, not per blister;
+    # the other call is the audit's bridges(g)
+    calls = 0
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return bridges(g)
+
+    monkeypatch.setattr(regfactor.generators, "bridges", counted)
+    for b, expected in enumerate([1, 2, 2, 2]):
+        calls = 0
+        general_extremal(ExtremalParams(3, 2, size_t=2, size_s=1, blister_count=b))
+        assert calls == expected
 
 
 # -- general extremal family ------------------------------------------------------
