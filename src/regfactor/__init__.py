@@ -23,7 +23,6 @@ from .factor import (
 from .generators import (
     BswParams,
     ExtremalParams,
-    blister,
     bridged_chain,
     bsw_graph,
     complement,

@@ -1,5 +1,5 @@
-"""Graph families: extremal constructions, blistering, clique-block
-sharpness graphs, and random multigraphs.
+"""Graph families: extremal constructions with blistered S-T edges,
+clique-block sharpness graphs, and random multigraphs.
 
 The extremal builder produces (2r+1)-regular multigraphs with exactly
 2r+4-3k cut-edges and no 2k-factor, for 3k <= 2r+1.  It starts from a
@@ -130,52 +130,6 @@ def _append(g: Multigraph, other: Multigraph) -> int:
     return offset
 
 
-def blister(g: Multigraph, edge_id: int, h: Multigraph, h_edge_id: int) -> Multigraph:
-    """Splice the bridgeless regular graph h into an edge of g.
-
-    Removes the chosen edge of g and the chosen edge of h from their
-    disjoint union, then joins each endpoint of the g-edge to one endpoint
-    of the h-edge (paired in vertex-id order).  Both graphs must be
-    (2r+1)-regular for the same r; the result is again (2r+1)-regular.
-    The h-edge may be a loop only when r > 1.
-    """
-    _check_blister(g, edge_id, h, h_edge_id)
-    return _splice(g, edge_id, h, h_edge_id)
-
-
-def _check_blister(g: Multigraph, edge_id: int, h: Multigraph, h_edge_id: int) -> None:
-    """Raise ValueError unless `blister(g, edge_id, h, h_edge_id)` is valid."""
-    dg = g.regular_degree()
-    dh = h.regular_degree()
-    if dg is None or dh is None or dg != dh or dg % 2 == 0 or dg < 3:
-        raise ValueError(f"both graphs must be (2r+1)-regular for the same r (got {dg}, {dh})")
-    r = (dg - 1) // 2
-    u, v = g.edge(edge_id)
-    if u == v:
-        raise ValueError("cannot blister a loop of the host graph")
-    x, y = h.edge(h_edge_id)
-    if x == y and r == 1:
-        raise ValueError("a loop patch edge requires r > 1")
-    if bridges(h):
-        raise ValueError("the patch graph must have no cut-edge")
-
-
-def _splice(g: Multigraph, edge_id: int, h: Multigraph, h_edge_id: int) -> Multigraph:
-    """`blister` without its input checks."""
-    u, v = g.edge(edge_id)
-    x, y = h.edge(h_edge_id)
-    out = Multigraph(g.n + h.n)
-    for eid, a, b in g.edges():
-        if eid != edge_id:
-            out.add_edge(a, b)
-    for eid, a, b in h.edges():
-        if eid != h_edge_id:
-            out.add_edge(a + g.n, b + g.n)
-    out.add_edge(u, x + g.n)
-    out.add_edge(v, y + g.n)
-    return out
-
-
 # -- the extremal family ------------------------------------------------------
 
 
@@ -233,11 +187,17 @@ def _build_extremal(params: ExtremalParams, rot: int, concentrated: bool, segreg
     r = params.r
     q3_targets, s_alloc, pendants = _allocate(params, rot, concentrated, segregated)
     n_t, n_s = params.size_t, params.size_s
+    if params.blister_count > (2 * r + 1) * n_s:
+        raise _Rejected("no blisterable S-T edge left")
     g = Multigraph(n_t + n_s)
+    held = []  # (t, s) ends of the S-T edges to blister
     for si in range(n_s):
         for ti in range(n_t):
             for _ in range(s_alloc[si][ti]):
-                g.add_edge(n_t + si, ti)
+                if len(held) < params.blister_count:
+                    held.append((ti, n_t + si))
+                else:
+                    g.add_edge(n_t + si, ti)
     triple, triple_attach = deficiency_component(r, 3)
     for targets in q3_targets:
         offset = _append(g, triple)
@@ -248,19 +208,15 @@ def _build_extremal(params: ExtremalParams, rot: int, concentrated: bool, segreg
         for _ in range(pendants[ti]):
             g.add_edge(_append(g, pendant) + pendant_attach, ti)
 
-    # S's edges were added first and all end in T, and a splice keeps the
-    # other edges in order and appends its two new ones, so edge 0 stays the
-    # first S-T edge.  Splicing a patch into a non-bridge leaves the bridges
-    # as they were; an S-T bridge fails the audit whichever edge is patched.
-    # A splice keeps g regular and edge 0 is never a loop, so blister()'s
-    # checks, run once, hold for every splice of the same patch.
-    if params.blister_count > (2 * r + 1) * n_s:
-        raise _Rejected("no blisterable S-T edge left")
+    # The first blister_count S-T edges each become a K_{2r+2} minus its
+    # edge (0, 1), with t joined to vertex 0 and s to vertex 1.
+    if held:
+        opened = complement(Multigraph.from_edges(2 * r + 2, [(0, 1)]))
+        for t, s in held:
+            offset = _append(g, opened)
+            g.add_edge(t, offset)
+            g.add_edge(s, offset + 1)
     patch = complete_graph(2 * r + 2)
-    if params.blister_count:
-        _check_blister(g, 0, patch, 0)
-    for _ in range(params.blister_count):
-        g = _splice(g, 0, patch, 0)
     for _ in range(params.extra_components):
         _append(g, patch)
     return g, tuple(range(n_t, n_t + n_s)), tuple(range(n_t))

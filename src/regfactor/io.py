@@ -82,6 +82,7 @@ def to_graph6(g: Multigraph) -> str:
     if not g.is_simple():
         raise ValueError("graph6 supports simple graphs only (no loops, no parallel edges)")
     n = g.n
+    head = _g6_encode_n(n)  # rejects a too-large n before the n(n-1)/2 bits are built
     adj = set()
     for _, u, v in g.edges():
         adj.add((u, v))
@@ -97,7 +98,7 @@ def to_graph6(g: Multigraph) -> str:
         for b in bits[i : i + 6]:
             val = (val << 1) | b
         chars.append(chr(val + 63))
-    return _g6_encode_n(n) + "".join(chars)
+    return head + "".join(chars)
 
 
 def from_graph6(text: str) -> Multigraph:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from regfactor import VerificationReport
+from regfactor import TutteWitness, VerificationReport
 from regfactor.cli import main
 
 
@@ -204,6 +204,36 @@ def test_check_parse_error_exit_2(tmp_path, capsys):
     assert "line 2" in stderr
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("generate", "extremal", "--r", "0", "--k", "1", "--size-t", "1"), "r must be >= 1"),
+        (
+            ("generate", "extremal", "--r", "1", "--k", "1", "--size-t", "1", "--blisters", "-1"),
+            "blister_count and extra_components must be >= 0",
+        ),
+        (("generate", "named", "--name", "cycle", "--n", "2"), "cycle needs at least 3 vertices"),
+        (("check", "--input", "bad.mgf", "--k", "1"), "endpoints must be integers"),
+    ],
+    ids=["extremal-r0", "extremal-negative-blisters", "named-cycle-n2", "check-bad-endpoint"],
+)
+def test_outside_input_error_exit_2(tmp_path, monkeypatch, capsys, argv, message):
+    (tmp_path / "bad.mgf").write_text("mgf 2 1\n0 a\n")
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert message in stderr
+
+
+def test_check_mgf_trailing_blank_lines(tmp_path, capsys):
+    path = tmp_path / "k4.mgf"
+    path.write_text("mgf 4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n\n\n")
+    code, stdout, _ = run_cli(capsys, "check", "--input", str(path), "--k", "1")
+    assert code == 0
+    assert json.loads(stdout)["m"] == 6
+
+
 def test_check_oracle_cap_exit_2(tmp_path, capsys):
     out = tmp_path / "big.mgf"
     run_cli(capsys, "generate", "bsw", "--r", "2", "--t", "1", "--out", str(out))
@@ -253,6 +283,21 @@ def test_verify_failure_maps_to_exit_1(capsys, monkeypatch):
     code, stdout, _ = run_cli(capsys, "verify", "parity", "--trials", "1", "--seed", "0")
     assert code == 1
     assert json.loads(stdout.strip())["pass"] is False
+
+
+def test_verify_main_failure_exit_1(capsys, monkeypatch):
+    # a main report that fails end to end: no factor where the hypothesis holds
+    witness = {"S": [], "T": [0], "q": 3, "d": 3, "deficiency": 2}
+    monkeypatch.setattr("regfactor.verifier.find_factor", lambda g, ell: None)
+    monkeypatch.setattr(
+        "regfactor.verifier.exhaustive_tutte_oracle", lambda g, ell: TutteWitness((), (0,), 3, 3, 2)
+    )
+    code, stdout, _ = run_cli(capsys, "verify", "main", "--r", "1", "--k", "1", "--trials", "1", "--seed", "0")
+    assert code == 1
+    report = json.loads(stdout)
+    assert report["hypothesisMet"] is True
+    assert report["pass"] is False
+    assert report["witness"] == witness
 
 
 def test_verify_output_determinism(capsys):

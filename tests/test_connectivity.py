@@ -6,12 +6,9 @@ from hypothesis import given
 import regfactor.connectivity
 from regfactor import (
     Multigraph,
-    blister,
     bridges,
     bsw_graph,
     BswParams,
-    complete_graph,
-    cycle_graph,
     edge_connectivity,
     is_connected,
     petersen_graph,
@@ -161,19 +158,3 @@ def test_connectivity_chain(g):
     assert (lam >= 1) == is_connected(g)
     assert lam <= min(g.degree(v) for v in range(g.n))
     assert vertex_connectivity(g) <= lam
-
-
-def test_blister_keeps_bridge_count_on_non_bridge(k4):
-    host = complete_graph(4)
-    out = blister(host, 0, complete_graph(4), 0)
-    assert out.n == 8
-    assert out.regular_degree() == 3
-    assert bridges(out) == []
-
-
-def test_blister_on_bridge_adds_exactly_one():
-    g = sylvester_extremal(1, 1)
-    cut = bridges(g)
-    out = blister(g, cut[0], complete_graph(4), 0)
-    assert len(bridges(out)) == len(cut) + 1
-    assert out.regular_degree() == 3

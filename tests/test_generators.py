@@ -9,7 +9,6 @@ from regfactor import (
     BswParams,
     ExtremalParams,
     Multigraph,
-    blister,
     bridged_chain,
     bridges,
     bsw_graph,
@@ -92,54 +91,9 @@ def test_sylvester_bad_params():
 # -- blistering ------------------------------------------------------------------
 
 
-def test_blister_k4_by_k4():
-    out = blister(complete_graph(4), 0, complete_graph(4), 0)
-    assert out.n == 8
-    assert out.regular_degree() == 3
-    assert bridges(out) == []
-
-
-def test_blister_validations():
-    k4 = complete_graph(4)
-    with pytest.raises(ValueError, match="regular"):
-        blister(k4, 0, complete_graph(6), 0)
-    path = Multigraph.from_edges(2, [(0, 1)])
-    with pytest.raises(ValueError, match="regular"):
-        blister(k4, 0, path, 0)
-    # cubic host carrying a loop: the loop itself cannot be blistered
-    looped_host = Multigraph.from_edges(2, [(0, 0), (0, 1), (1, 1)])
-    with pytest.raises(ValueError, match="loop of the host"):
-        blister(looped_host, 0, k4, 0)
-    # bridged patch refused
-    bridged_patch = Multigraph.from_edges(2, [(0, 0), (0, 1), (1, 1)])
-    host = sylvester_extremal(1, 1)
-    host_edge = next(eid for eid, u, v in host.edges() if u != v)
-    with pytest.raises(ValueError, match="cut-edge"):
-        blister(host, host_edge, bridged_patch, 1)
-
-
-def test_blister_loop_patch_edge():
-    # 5-regular bridgeless patch with loops: triple edge plus one loop each
-    patch = Multigraph.from_edges(2, [(0, 1), (0, 1), (0, 1), (0, 0), (1, 1)])
-    assert patch.regular_degree() == 5
-    loop_id = 3
-    host = random_connected_regular_multigraph(6, 5, seed=4)
-    host_edge = next(eid for eid, u, v in host.edges() if u != v)
-    out = blister(host, host_edge, patch, loop_id)
-    assert out.regular_degree() == 5
-    assert out.n == host.n + 2
-
-    # in the cubic world a loop patch edge is refused outright
-    cubic_patch = Multigraph.from_edges(2, [(0, 0), (0, 1), (1, 1)])
-    cubic_host = sylvester_extremal(1, 1)
-    cubic_edge = next(eid for eid, u, v in cubic_host.edges() if u != v)
-    with pytest.raises(ValueError, match="r > 1"):
-        blister(cubic_host, cubic_edge, cubic_patch, 0)
-
-
 def test_extremal_build_checks_its_patch_once(monkeypatch):
-    # blister()'s bridges(patch) check runs once per build, not per blister;
-    # the other call is the audit's bridges(g)
+    # the builder checks no patch: its one bridges call, whatever the
+    # blister count, is the audit's bridges(g)
     calls = 0
 
     def counted(g):
@@ -148,7 +102,7 @@ def test_extremal_build_checks_its_patch_once(monkeypatch):
         return bridges(g)
 
     monkeypatch.setattr(regfactor.generators, "bridges", counted)
-    for b, expected in enumerate([1, 2, 2, 2]):
+    for b, expected in enumerate([1, 1, 1, 1]):
         calls = 0
         general_extremal(ExtremalParams(3, 2, size_t=2, size_s=1, blister_count=b))
         assert calls == expected

@@ -93,6 +93,12 @@ def test_graph6_rejects_multigraphs():
         to_graph6(Multigraph.from_edges(1, [(0, 0)]))
 
 
+def test_graph6_rejects_too_many_vertices_before_encoding():
+    # the size check comes first: the bit list alone would hold about 3.3e10 entries
+    with pytest.raises(ValueError, match="at most 258047 vertices, got 258048"):
+        to_graph6(Multigraph(258_048))
+
+
 def test_graph6_large_graph_prefix():
     g = bsw_graph(BswParams(2, 1))
     # 38 < 63, still single-character prefix; force the long form with a big empty graph

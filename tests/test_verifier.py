@@ -10,6 +10,7 @@ from regfactor import (
     BswParams,
     ExtremalParams,
     Multigraph,
+    TutteWitness,
     bridged_chain,
     bridges,
     characterization_check,
@@ -343,6 +344,14 @@ def test_parity_sweep_tasks_pinned_graphs():
     assert digest == "55d5c82e6503e1d6fad7caf095bb3fb79bc6d1ab7dbfeb4a9967dc7dd35a1168"
 
 
+def test_parity_audit_counts_every_violation(monkeypatch):
+    # an odd deficiency on every sampled pair must be counted once per trial
+    monkeypatch.setattr(verifier, "tutte_deficiency", lambda g, ell, s, t: 1)
+    rep = parity_audit(random_regular_multigraph(8, 3, seed=2), k=1, trials=7, seed=5)
+    assert rep.passed is False
+    assert rep.details == {"trials": 7, "violations": 7}
+
+
 # -- report serialization -------------------------------------------------------------------
 
 
@@ -352,6 +361,21 @@ def test_report_json_schema(k4):
     assert data["instance"] == "unit"
     for key in ("r", "k", "p", "hypothesisMet", "factorFound", "pass", "millis"):
         assert key in data
+
+
+def test_main_theorem_failure_carries_oracle_witness(k4, monkeypatch):
+    # the hypothesis holds but the solver finds no factor: the report fails
+    # and its JSON carries the oracle's witness
+    witness = TutteWitness(S=(), T=(0,), q=3, d=3, deficiency=2)
+    monkeypatch.setattr(verifier, "find_factor", lambda g, ell: None)
+    monkeypatch.setattr(verifier, "exhaustive_tutte_oracle", lambda g, ell: witness)
+    rep = verify_main_theorem(k4, 1, 1)
+    assert rep.hypothesis_met and not rep.factor_found
+    assert rep.passed is False
+    assert rep.witness == witness
+    data = rep.to_json()
+    assert data["witness"] == witness.to_json()
+    assert data["pass"] is False
 
 
 @pytest.mark.parametrize(
