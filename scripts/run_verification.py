@@ -4,8 +4,8 @@
 Usage: python scripts/run_verification.py [--trials N] [--seed S] [--jobs J]
 
 Covers the guarantee sweep over all supported (r, k) pairs, the extremal
-characterization grid with factor-bearing controls, the sharpness boundary
-for small (r, t), and a parity audit.  Exit code 0 iff everything passed.
+characterization grid with factor-bearing controls, and the sharpness
+boundary for small (r, t).  Exit code 0 iff everything passed.
 """
 
 import argparse
@@ -18,7 +18,6 @@ from regfactor.verifier import (  # noqa: E402
     bsw_sweep_tasks,
     charzn_sweep_tasks,
     main_sweep_tasks,
-    parity_sweep_tasks,
     run_tasks,
 )
 
@@ -31,7 +30,6 @@ def main() -> int:
     parser.add_argument("--trials", type=int, default=200, help="random instances per (r,k) cell")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--parity-trials", type=int, default=10_000)
     args = parser.parse_args()
 
     print(f"{'battery':<28} {'instances':>9} {'passed':>7} {'hyp-met':>8} {'secs':>7}")
@@ -58,10 +56,6 @@ def main() -> int:
         t0 = time.perf_counter()
         reports = run_tasks(bsw_sweep_tasks(r, t), jobs=args.jobs)
         row(f"sharpness r={r} t={t}", reports, t0)
-
-    t0 = time.perf_counter()
-    reports = run_tasks(parity_sweep_tasks(args.parity_trials, args.seed), jobs=args.jobs)
-    row("parity audit", reports, t0)
 
     print(f"\n{'ALL PASSED' if failures == 0 else f'{failures} FAILURES'}")
     return 0 if failures == 0 else 1

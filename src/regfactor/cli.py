@@ -15,7 +15,6 @@ Examples:
   regfactor verify main --r 2 --k 1 --trials 200 --seed 1
   regfactor verify charzn --r 1 --k 1
   regfactor verify bsw --r 2 --t 1 --k 2
-  regfactor verify parity --trials 1000 --seed 0
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from .verifier import (
     bsw_sweep_tasks,
     charzn_sweep_tasks,
     main_sweep_tasks,
-    parity_sweep_tasks,
     run_tasks,
 )
 
@@ -216,12 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
-    add_jobs(p)
-
-    p = ver_sub.add_parser("parity", help="q(S,T) vs d_{G-S}(T) parity audit")
-    p.set_defaults(tasks=lambda a: parity_sweep_tasks(a.trials, a.seed))
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
     add_jobs(p)
 
     return parser

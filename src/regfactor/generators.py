@@ -37,7 +37,7 @@ class ExtremalParams:
     """Parameters of the extremal family.
 
     Requires 1 <= k and 3k <= 2r+1; size_t - size_s >= 1, with equality
-    forced when 3k < 2r+1.  Blisters need at least one S-vertex.
+    forced when 3k < 2r+1.  At most (2r+1)·size_s blisters, one per S-T edge.
     """
 
     r: int
@@ -61,8 +61,9 @@ class ExtremalParams:
             raise ValueError(f"size_t - size_s must equal 1 when 3k < 2r+1, got {diff}")
         if self.blister_count < 0 or self.extra_components < 0:
             raise ValueError("blister_count and extra_components must be >= 0")
-        if self.blister_count > 0 and self.size_s == 0:
-            raise ValueError("blisters require at least one S-vertex (they patch S-T edges)")
+        limit = (2 * self.r + 1) * self.size_s  # blisters patch S-T edges, 2r+1 per S-vertex
+        if self.blister_count > limit:
+            raise ValueError(f"blister_count must be <= (2r+1)*size_s = {limit}, got {self.blister_count}")
 
     @property
     def cut_edges(self) -> int:
@@ -187,8 +188,6 @@ def _build_extremal(params: ExtremalParams, rot: int, concentrated: bool, segreg
     r = params.r
     q3_targets, s_alloc, pendants = _allocate(params, rot, concentrated, segregated)
     n_t, n_s = params.size_t, params.size_s
-    if params.blister_count > (2 * r + 1) * n_s:
-        raise _Rejected("no blisterable S-T edge left")
     g = Multigraph(n_t + n_s)
     held = []  # (t, s) ends of the S-T edges to blister
     for si in range(n_s):
@@ -216,9 +215,10 @@ def _build_extremal(params: ExtremalParams, rot: int, concentrated: bool, segreg
             offset = _append(g, opened)
             g.add_edge(t, offset)
             g.add_edge(s, offset + 1)
-    patch = complete_graph(2 * r + 2)
-    for _ in range(params.extra_components):
-        _append(g, patch)
+    if params.extra_components:
+        patch = complete_graph(2 * r + 2)
+        for _ in range(params.extra_components):
+            _append(g, patch)
     return g, tuple(range(n_t, n_t + n_s)), tuple(range(n_t))
 
 

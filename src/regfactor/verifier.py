@@ -56,8 +56,6 @@ from .generators import (
     extremal_parameter_grid,
     general_extremal_with_partition,
     random_connected_regular_multigraph,
-    random_multigraph,
-    random_regular_multigraph,
 )
 from .multigraph import Multigraph
 
@@ -365,7 +363,7 @@ def _hub_crossings(g: Multigraph, factor: FactorResult, r: int, t: int) -> list[
     return counts
 
 
-def parity_audit(g: Multigraph, k: int, trials: int, seed: int, instance: str = "") -> VerificationReport:
+def parity_audit(g: Multigraph, k: int, trials: int, seed: int) -> VerificationReport:
     """Sample random disjoint (S, T) and confirm q(S,T) and d_{G-S}(T)
     always share a parity (even target degree 2k)."""
     rng = random.Random(seed)
@@ -383,7 +381,7 @@ def parity_audit(g: Multigraph, k: int, trials: int, seed: int, instance: str = 
             violations += 1
     deg = g.regular_degree()
     return VerificationReport(
-        instance=instance or f"parity-n{g.n}-m{g.m}-k{k}",
+        instance=f"parity-n{g.n}-m{g.m}-k{k}",
         r=((deg - 1) // 2) if deg is not None and deg % 2 == 1 else -1,
         k=k,
         p=len(bridges(g)),
@@ -468,22 +466,6 @@ def bsw_sweep_tasks(r: int, t: int, k: int | None = None) -> list[tuple]:
     return [("bsw", {"r": r, "t": t, "k": kk}) for kk in ks]
 
 
-def parity_sweep_tasks(trials: int, seed: int) -> list[tuple]:
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    tasks = []
-    for i, done in enumerate(range(0, trials, 20)):  # 20 trials per random graph
-        n = 4 + (i % 9)  # 4..12
-        if i % 3 == 0:
-            d = 3 + 2 * (i % 2)
-            a = {"n": n + (n * d) % 2, "d": d}  # a d-regular graph needs n*d even
-        else:
-            a = {"n": n, "m": n + (i % 7)}
-        a.update(k=1 + (i % 3), trials=min(20, trials - done), seed=seed * 7_777_777 + i, index=i)
-        tasks.append(("parity", a))
-    return tasks
-
-
 def run_task(task: tuple) -> VerificationReport:
     """Build the task's graph, run its verifier, and time both into ``millis``."""
     kind, a = task
@@ -499,13 +481,6 @@ def run_task(task: tuple) -> VerificationReport:
         report = verify_control_instance(a["r"], a["k"])
     elif kind == "bsw":
         report = verify_bsw(BswParams(a["r"], a["t"]), a["k"])
-    elif kind == "parity":
-        if "d" in a:
-            g = random_regular_multigraph(a["n"], a["d"], a["seed"])
-        else:
-            g = random_multigraph(a["n"], a["m"], a["seed"])
-        instance = f"parity-i{a['index']}-n{g.n}-m{g.m}"
-        report = parity_audit(g, a["k"], a["trials"], a["seed"] + 1, instance=instance)
     else:
         raise ValueError(f"unknown task kind {kind!r}")
     report.millis = (time.perf_counter() - start) * 1000.0

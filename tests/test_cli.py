@@ -212,10 +212,16 @@ def test_check_parse_error_exit_2(tmp_path, capsys):
             ("generate", "extremal", "--r", "1", "--k", "1", "--size-t", "1", "--blisters", "-1"),
             "blister_count and extra_components must be >= 0",
         ),
+        (
+            # r = 1 and one S-vertex leave 3 S-T edges to blister: a parameter
+            # check, not a rejection by each of the four build strategies
+            ("generate", "extremal", "--r", "1", "--k", "1", "--size-t", "2", "--size-s", "1", "--blisters", "4"),
+            "blister_count must be <= (2r+1)*size_s = 3, got 4",
+        ),
         (("generate", "named", "--name", "cycle", "--n", "2"), "cycle needs at least 3 vertices"),
         (("check", "--input", "bad.mgf", "--k", "1"), "endpoints must be integers"),
     ],
-    ids=["extremal-r0", "extremal-negative-blisters", "named-cycle-n2", "check-bad-endpoint"],
+    ids=["extremal-r0", "extremal-negative-blisters", "extremal-blister-overflow", "named-cycle-n2", "check-bad-endpoint"],
 )
 def test_outside_input_error_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     (tmp_path / "bad.mgf").write_text("mgf 2 1\n0 a\n")
@@ -223,7 +229,7 @@ def test_outside_input_error_exit_2(tmp_path, monkeypatch, capsys, argv, message
     code, stdout, stderr = run_cli(capsys, *argv)
     assert code == 2
     assert stdout == ""
-    assert message in stderr
+    assert stderr.count(message) == 1
 
 
 def test_check_mgf_trailing_blank_lines(tmp_path, capsys):
@@ -267,12 +273,6 @@ def test_verify_bsw_exit_0(capsys):
     assert rep["factorFound"] is False and rep["pass"] is True
 
 
-def test_verify_parity_exit_0(capsys):
-    code, stdout, _ = run_cli(capsys, "verify", "parity", "--trials", "100", "--seed", "0")
-    assert code == 0
-    assert all(json.loads(ln)["pass"] for ln in stdout.strip().splitlines())
-
-
 def test_verify_failure_maps_to_exit_1(capsys, monkeypatch):
     # exit-code plumbing: a failed report must yield exit 1
     failing = VerificationReport(
@@ -280,7 +280,7 @@ def test_verify_failure_maps_to_exit_1(capsys, monkeypatch):
         factor_found=False, passed=False, millis=0.0,
     )
     monkeypatch.setattr("regfactor.cli.run_tasks", lambda tasks, jobs=1: [failing])
-    code, stdout, _ = run_cli(capsys, "verify", "parity", "--trials", "1", "--seed", "0")
+    code, stdout, _ = run_cli(capsys, "verify", "bsw", "--r", "2", "--t", "1", "--k", "1")
     assert code == 1
     assert json.loads(stdout.strip())["pass"] is False
 
@@ -323,9 +323,7 @@ def test_usage_error_exit_2(capsys):
     "argv",
     [
         ("main", "--r", "1", "--k", "1", "--trials", "-1"),
-        ("parity", "--trials", "-3"),
         ("main", "--r", "1", "--k", "1", "--trials", "0"),
-        ("parity", "--trials", "0"),
     ],
 )
 def test_verify_negative_trials_exit_2(capsys, argv):
@@ -334,6 +332,16 @@ def test_verify_negative_trials_exit_2(capsys, argv):
     assert code == 2
     assert stdout == ""
     assert "trials must be >= 1" in stderr
+
+
+def test_verify_parity_is_no_mode(capsys):
+    # verify's modes are the three claims; the parity audit is Lovász's lemma, not one of them
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "parity", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "invalid choice: 'parity'" in captured.err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -108,6 +108,22 @@ def test_extremal_build_checks_its_patch_once(monkeypatch):
         assert calls == expected
 
 
+def test_extremal_build_makes_no_patch_without_extra_components(monkeypatch):
+    # the complete-graph patch is built only when extra components use it
+    calls = 0
+
+    def counted(n):
+        nonlocal calls
+        calls += 1
+        return complete_graph(n)
+
+    monkeypatch.setattr(regfactor.generators, "complete_graph", counted)
+    for x, expected in [(0, 0), (1, 1), (2, 1)]:
+        calls = 0
+        general_extremal(ExtremalParams(3, 2, size_t=2, size_s=1, blister_count=1, extra_components=x))
+        assert calls == expected
+
+
 # -- general extremal family ------------------------------------------------------
 
 
@@ -340,9 +356,9 @@ def _extremal_sweep_outcomes():
                 for size_s in range(4):
                     for b in range(7) if size_s else (0,):
                         for x in (0, 1):
-                            params = ExtremalParams(r, k, size_s + diff, size_s, b, x)
-                            for seed in range(params.size_t):
+                            for seed in range(size_s + diff):
                                 try:
+                                    params = ExtremalParams(r, k, size_s + diff, size_s, b, x)
                                     g, s, t = general_extremal_with_partition(params, seed)
                                 except ValueError as exc:
                                     yield f"error: {exc}\n"
@@ -355,6 +371,6 @@ def test_extremal_builder_outcomes_pinned():
     assert len(outcomes) == 900
     assert sum(o.startswith("error: ") for o in outcomes) == 58
     digest = hashlib.sha256("".join(outcomes).encode()).hexdigest()
-    assert digest == "19c4237d9cdc29a6f3e563e2f864c58f1596f44383d0efad77c52b263632993d"
+    assert digest == "ea4ef7cf8bdbdea3aab8e4f96fa07a0a00c6c6a55d5e03d4d44bb69f13383205"
     chains = "".join(to_mgf(bridged_chain(r, p)) for r in range(1, 4) for p in range(1, 5))
     assert hashlib.sha256(chains.encode()).hexdigest() == "63d531f823b45891f91ce0e9af3094632eea98d8bbe2aec041527fc12d8d1d57"

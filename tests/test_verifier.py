@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 
@@ -36,7 +35,6 @@ from regfactor.verifier import (
     bsw_sweep_tasks,
     charzn_sweep_tasks,
     main_sweep_tasks,
-    parity_sweep_tasks,
     run_task,
     run_tasks,
 )
@@ -318,32 +316,6 @@ def test_parity_audit_batch():
     assert rep.details == {"trials": 1000, "violations": 0}
 
 
-def test_parity_sweep_tasks_batching():
-    tasks = parity_sweep_tasks(trials=95, seed=0)
-    assert sum(t[1]["trials"] for t in tasks) == 95
-    reports = [run_task(t) for t in tasks]
-    assert all(rep.passed for rep in reports)
-
-
-def test_parity_sweep_tasks_pinned_graphs():
-    # instance, r and p depend on each task's n, d or m and seed, so a sweep
-    # that samples a different graph changes a row here
-    def rows(trials, seed):
-        reports = map(run_task, parity_sweep_tasks(trials, seed))
-        return [(rep.instance, rep.r, rep.k, rep.p, rep.details) for rep in reports]
-
-    assert rows(95, 0) == [
-        ("parity-i0-n4-m6", 1, 1, 0, {"trials": 20, "violations": 0}),
-        ("parity-i1-n5-m6", -1, 2, 3, {"trials": 20, "violations": 0}),
-        ("parity-i2-n6-m8", -1, 3, 0, {"trials": 20, "violations": 0}),
-        ("parity-i3-n8-m20", 2, 1, 1, {"trials": 20, "violations": 0}),
-        ("parity-i4-n8-m12", -1, 2, 2, {"trials": 15, "violations": 0}),
-    ]
-    # 51 graphs reach every residue of the index that picks n, d and m
-    digest = hashlib.sha256(json.dumps(rows(1001, 3)).encode()).hexdigest()
-    assert digest == "55d5c82e6503e1d6fad7caf095bb3fb79bc6d1ab7dbfeb4a9967dc7dd35a1168"
-
-
 def test_parity_audit_counts_every_violation(monkeypatch):
     # an odd deficiency on every sampled pair must be counted once per trial
     monkeypatch.setattr(verifier, "tutte_deficiency", lambda g, ell, s, t: 1)
@@ -380,8 +352,8 @@ def test_main_theorem_failure_carries_oracle_witness(k4, monkeypatch):
 
 @pytest.mark.parametrize(
     "tasks",
-    [main_sweep_tasks(1, 1, trials=8, seed=9), parity_sweep_tasks(trials=45, seed=2)],
-    ids=["main", "parity"],
+    [main_sweep_tasks(1, 1, trials=8, seed=9), charzn_sweep_tasks(1, 1)],
+    ids=["main", "charzn"],
 )
 def test_run_tasks_parallel_matches_serial(tasks):
     serial = [rep.to_json() for rep in run_tasks(tasks, jobs=1)]
@@ -397,9 +369,8 @@ def test_run_task_owns_the_clock(k4):
         main_sweep_tasks(1, 1, trials=1, seed=0)[0],
         *charzn_sweep_tasks(1, 1)[-2:],  # the last extremal task and the control
         bsw_sweep_tasks(2, 1, k=1)[0],
-        parity_sweep_tasks(trials=1, seed=0)[0],
     ]
-    assert [kind for kind, _ in tasks] == ["main", "extremal", "control", "bsw", "parity"]
+    assert [kind for kind, _ in tasks] == ["main", "extremal", "control", "bsw"]
     assert all(run_task(task).millis > 0 for task in tasks)
     assert verify_main_theorem(k4, 1, 1).millis == 0.0
 
