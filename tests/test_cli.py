@@ -322,8 +322,9 @@ def test_usage_error_exit_2(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("main", "--r", "1", "--k", "1", "--trials", "-1"),
-        ("main", "--r", "1", "--k", "1", "--trials", "0"),
+        # the ids stay the ones these cases had when verify parity filled argv1 and argv3
+        pytest.param(("main", "--r", "1", "--k", "1", "--trials", "-1"), id="argv0"),
+        pytest.param(("main", "--r", "1", "--k", "1", "--trials", "0"), id="argv2"),
     ],
 )
 def test_verify_negative_trials_exit_2(capsys, argv):
