@@ -15,14 +15,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from regfactor.verifier import (  # noqa: E402
+    RK_PAIRS,
+    RT_PAIRS,
     bsw_sweep_tasks,
     charzn_sweep_tasks,
     main_sweep_tasks,
     run_tasks,
 )
-
-RK_PAIRS = [(1, 1), (2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
-RT_PAIRS = [(2, 1), (3, 1), (3, 2), (4, 1)]
 
 
 def main() -> int:

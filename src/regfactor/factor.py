@@ -21,7 +21,7 @@ Two independent routes are provided and cross-checked in the test suite:
   far; ties go to the lexicographically smallest (S,T), so the witness does
   not depend on the search order;
 * ``find_factor`` — constructs a factor via the standard degree-gadget
-  reduction to perfect matching.
+  reduction to perfect matching, reading it off the matching's mate array.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .matching import adjacency_lists, max_matching, maximum_matching_adjacency
+from .matching import adjacency_lists, maximum_matching_adjacency
 from .multigraph import Multigraph
 
 # The oracle's scan is 3^n, so it refuses graphs above this many vertices.
@@ -314,9 +314,9 @@ def build_factor_gadget(g: Multigraph, ell: int) -> tuple[Multigraph, list[int]]
     edge-endpoint incidence (a loop yields two), are ``start[v] .. start[v]
     + deg(v) - 1``; its ``deg(v) - ℓ`` internal nodes follow, up to
     ``start[v + 1]``, each joined to all of v's external nodes.  Gadget edge
-    e is g's edge e for e < g.m, joining one external node of each end.  The
-    gadget has a perfect matching iff g has an ℓ-factor, and the factor
-    consists of the edges e < g.m that the matching uses.
+    e is g's edge e for e < g.m, joining one external node of each end, so the
+    gadget is simple, as the blossom matching needs.  It has a perfect matching
+    iff g has an ℓ-factor, whose edges are the e < g.m that the matching uses.
     """
     if ell < 1:
         raise ValueError(f"factor degree must be >= 1, got {ell}")
@@ -346,20 +346,20 @@ def build_factor_gadget(g: Multigraph, ell: int) -> tuple[Multigraph, list[int]]
 
 
 def find_factor(g: Multigraph, ell: int) -> FactorResult | None:
-    """An ℓ-factor of g if one exists, else None."""
+    """An ℓ-factor of g if one exists, else None.  Gadget edge e < g.m is g's
+    edge e, so the factor is read off the mate array in id order."""
     if ell < 1:
         raise ValueError(f"factor degree must be >= 1, got {ell}")
-    if g.n == 0:
-        return FactorResult((), ell)
-    if min(g.degree(v) for v in range(g.n)) < ell:
+    if any(g.degree(v) < ell for v in range(g.n)):
         return None
     if (ell * g.n) % 2 == 1:
         return None
     gadget, _ = build_factor_gadget(g, ell)
-    matched = max_matching(gadget)
-    if 2 * len(matched) < gadget.n:
+    mate, _ = maximum_matching_adjacency(gadget.n, adjacency_lists(gadget))
+    if -1 in mate:  # an exposed node: no perfect matching, so no factor
         return None
-    result = FactorResult(tuple(sorted(e for e in matched if e < g.m)), ell)
+    ends = map(gadget.edge, range(g.m))
+    result = FactorResult(tuple(e for e, (a, b) in enumerate(ends) if mate[a] == b), ell)
     result.validate(g)
     return result
 

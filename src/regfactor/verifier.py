@@ -439,6 +439,9 @@ def verify_control_instance(r: int, k: int) -> VerificationReport:
 
 # -- batch sweeps (task lists keep them picklable for --jobs) -------------------
 
+RK_PAIRS = [(1, 1), (2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]  # the battery's (r, k) cells
+RT_PAIRS = [(2, 1), (3, 1), (3, 2), (4, 1)]  # and its (r, t) sharpness cells
+
 
 def main_sweep_tasks(r: int, k: int, trials: int, seed: int, sizes=(6, 8, 10, 12, 14)) -> list[tuple]:
     _check_rk(r, k)
@@ -458,11 +461,8 @@ def charzn_sweep_tasks(r: int, k: int, seed: int = 0) -> list[tuple]:
 
 def bsw_sweep_tasks(r: int, t: int, k: int | None = None) -> list[tuple]:
     BswParams(r, t)  # raises unless 1 <= t < r, before an empty task list can pass
-    if k is not None:
-        ks = [k]
-    else:
-        boundary = (t * (2 * r + 1)) // (2 * t + 1)
-        ks = [kk for kk in (max(1, boundary), boundary + 1) if 2 * kk <= 2 * r + 1]
+    boundary = (t * (2 * r + 1)) // (2 * t + 1)  # 1 <= t < r puts it in 1..r-1
+    ks = [k] if k is not None else [boundary, boundary + 1]
     return [("bsw", {"r": r, "t": t, "k": kk}) for kk in ks]
 
 

@@ -13,7 +13,18 @@ from itertools import combinations, product
 
 from hypothesis import strategies as st
 
-from regfactor import Multigraph, TutteWitness, q_count, tutte_deficiency
+from regfactor import (
+    BswParams,
+    Multigraph,
+    TutteWitness,
+    bsw_graph,
+    build_factor_gadget,
+    max_matching,
+    q_count,
+    random_connected_regular_multigraph,
+    tutte_deficiency,
+)
+from regfactor.verifier import RK_PAIRS, RT_PAIRS, main_sweep_tasks
 
 
 @st.composite
@@ -430,3 +441,29 @@ def factor_degrees(g: Multigraph, edge_ids) -> list[int]:
         deg[u] += 1
         deg[v] += 1
     return deg
+
+
+def gadget_factor_reference(g: Multigraph, ell: int) -> tuple[int, ...] | None:
+    """The factor by matching the degree gadget through ``max_matching``:
+    the matched edge ids below g.m, sorted, or None when the gadget cannot be
+    built (a vertex of degree < ℓ) or its matching leaves a node exposed."""
+    if any(g.degree(v) < ell for v in range(g.n)):
+        return None
+    gadget, _ = build_factor_gadget(g, ell)
+    matched = max_matching(gadget)
+    if 2 * len(matched) < gadget.n:
+        return None
+    return tuple(sorted(e for e in matched if e < g.m))
+
+
+def pinned_hosts():
+    """(g, ℓ) for the battery's hosts at n = 30: five seed-0 guarantee graphs
+    per (r, k) cell with ℓ = 2k, then each sharpness host with every ℓ = 2k,
+    k = 1..r; 47 in all."""
+    for r, k in RK_PAIRS:
+        for _, a in main_sweep_tasks(r, k, 5, 0, (30,)):
+            yield random_connected_regular_multigraph(a["n"], 2 * r + 1, a["seed"]), 2 * k
+    for r, t in RT_PAIRS:
+        host = bsw_graph(BswParams(r, t))
+        for k in range(1, r + 1):
+            yield host, 2 * k

@@ -30,6 +30,7 @@ from regfactor import (
     complete_graph,
 )
 from regfactor.verifier import (
+    RK_PAIRS,
     main_sweep_tasks,
     run_tasks,
     verify_bsw,
@@ -37,8 +38,6 @@ from regfactor.verifier import (
 )
 
 from helpers import factor_degrees
-
-RK_PAIRS = [(1, 1), (2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
 
 
 def _announce(num: int, text: str) -> None:

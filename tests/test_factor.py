@@ -1,8 +1,10 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regfactor import (
@@ -12,6 +14,7 @@ from regfactor import (
     bsw_graph,
     BswParams,
     build_factor_gadget,
+    complete_graph,
     exhaustive_tutte_oracle,
     find_factor,
     has_2k_factor,
@@ -24,7 +27,15 @@ from regfactor import (
 
 from regfactor.factor import component_edge_counts
 
-from helpers import disjoint_pairs, factor_degrees, multigraphs, naive_component_counts, naive_oracle
+from helpers import (
+    disjoint_pairs,
+    factor_degrees,
+    gadget_factor_reference,
+    multigraphs,
+    naive_component_counts,
+    naive_oracle,
+    pinned_hosts,
+)
 
 
 # -- T-odd component profile ---------------------------------------------------
@@ -231,6 +242,30 @@ def test_find_factor_bsw_boundary():
 def test_find_factor_empty_graph():
     factor = find_factor(Multigraph(0), 2)
     assert factor is not None and factor.edge_ids == ()
+
+
+@given(multigraphs(max_n=8, max_m=24), st.integers(1, 4))
+@example(Multigraph(0), 2)
+@example(complete_graph(3), 1)  # every degree >= ℓ, ℓn odd
+@example(complete_graph(5), 3)
+@settings(max_examples=150)
+def test_find_factor_matches_gadget_reference(g, ell):
+    # the gadget is simple by construction, so the mate array read-off agrees
+    # with matching it through max_matching, which checks simplicity
+    if all(g.degree(v) >= ell for v in range(g.n)):
+        assert build_factor_gadget(g, ell)[0].is_simple()
+    factor = find_factor(g, ell)
+    assert (None if factor is None else factor.edge_ids) == gadget_factor_reference(g, ell)
+
+
+def test_find_factor_output_pinned():
+    # the perfbench digests pin the factors; this holds them here too.  The
+    # hash is the sha256 of the JSON list of edge ids (null for no factor),
+    # host by host, on the hosts whose gadgets test_matching_output_pinned pins.
+    factors = [None if (f := find_factor(g, ell)) is None else list(f.edge_ids) for g, ell in pinned_hosts()]
+    assert len(factors) == 47 and factors.count(None) == 4
+    digest = hashlib.sha256(json.dumps(factors).encode()).hexdigest()
+    assert digest == "c847dec91c33f93ad4f778c4e00cca0919e70e842b1ef7fbca28ec301287f7d1"
 
 
 @pytest.mark.parametrize(

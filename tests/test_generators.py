@@ -31,6 +31,7 @@ from regfactor import (
     t_odd_profile,
     to_mgf,
 )
+from regfactor.verifier import RK_PAIRS, RT_PAIRS
 
 
 # -- deficiency components ------------------------------------------------------
@@ -302,9 +303,6 @@ def test_bridged_chain_control(r, k):
 # every family must keep its vertex numbering and its edge-id order, not only
 # its edge multiset.  Each hash is the sha256 of the families' to_mgf texts,
 # concatenated.
-
-RK_PAIRS = [(1, 1), (2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
-RT_PAIRS = [(2, 1), (3, 1), (3, 2), (4, 1)]
 
 PINNED_FAMILIES = {
     "complete": (

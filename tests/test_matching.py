@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from regfactor import (
-    BswParams,
     Multigraph,
-    bsw_graph,
     build_factor_gadget,
     complete_graph,
     max_matching,
@@ -15,12 +13,13 @@ from regfactor import (
     random_connected_regular_multigraph,
 )
 from regfactor.matching import adjacency_lists, maximum_matching_adjacency
-from regfactor.verifier import main_sweep_tasks
+from regfactor.verifier import RK_PAIRS, main_sweep_tasks
 
 from helpers import (
     blossom_graphs,
     brute_max_matching_size,
     factor_degrees,
+    pinned_hosts,
     reference_blossom_mates,
     simple_graphs,
 )
@@ -122,29 +121,17 @@ def test_nested_blossoms_then_failed_search():
 
 # -- pinned output ------------------------------------------------------------------
 #
-# find_factor maps matched gadget edges back to factor edges, and the perfbench
-# digests pin those factors, so the matching itself must stay the same edge set,
-# not only the same size.  The search order (id-ordered seeding and relabelling,
-# FIFO queue) decides which maximum matching comes out.  The hash is the sha256
-# of the JSON list of sorted(max_matching(gadget)), gadget by gadget.
-
-RK_PAIRS = [(1, 1), (2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
-RT_PAIRS = [(2, 1), (3, 1), (3, 2), (4, 1)]
-
-
-def pinned_gadgets():
-    for r, k in RK_PAIRS:
-        for _, a in main_sweep_tasks(r, k, 5, 0, (30,)):
-            g = random_connected_regular_multigraph(a["n"], 2 * r + 1, a["seed"])
-            yield build_factor_gadget(g, 2 * k)[0]
-    for r, t in RT_PAIRS:
-        host = bsw_graph(BswParams(r, t))
-        for k in range(1, r + 1):
-            yield build_factor_gadget(host, 2 * k)[0]
+# find_factor reads the factor off the gadget's mate array, and the perfbench
+# digests pin those factors, so the matching itself must stay the same mate
+# array, not only the same size.  The search order (id-ordered seeding and
+# relabelling, FIFO queue) decides which maximum matching comes out.  The hash
+# is the sha256 of the JSON list of sorted(max_matching(gadget)), gadget by
+# gadget; max_matching turns the mate array into edge ids.  tests/test_factor.py
+# pins the factors read off these gadgets.
 
 
 def test_matching_output_pinned():
-    matchings = [sorted(max_matching(gadget)) for gadget in pinned_gadgets()]
+    matchings = [sorted(max_matching(build_factor_gadget(g, ell)[0])) for g, ell in pinned_hosts()]
     assert len(matchings) == 47
     digest = hashlib.sha256(json.dumps(matchings).encode()).hexdigest()
     assert digest == "1272c7c723f17a297d1351605d99c998576a08635c3e50ca54776c7ef0972b1f"

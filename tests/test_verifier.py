@@ -31,6 +31,7 @@ from regfactor import (
 )
 from regfactor import verifier
 from regfactor.verifier import (
+    RK_PAIRS,
     _orient_bridges,
     bsw_sweep_tasks,
     charzn_sweep_tasks,
@@ -216,7 +217,7 @@ def test_every_grid_cell_certified():
     # two n = 14 cells (whose first candidate is the oracle's 3^14 scan)
     # included
     certified = 0
-    for r, k in [(1, 1), (2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]:
+    for r, k in RK_PAIRS:
         for params in extremal_parameter_grid(r, k):
             cert = characterization_check(general_extremal(params), r, k)
             assert cert.all_conditions_hold and cert.all_equalities_hold, params
@@ -304,6 +305,16 @@ def test_bsw_r3_no_6_factor():
 )
 def test_bsw_sweep_tasks_default_k_straddles_boundary(r, t, ks):
     assert bsw_sweep_tasks(r, t) == [("bsw", {"r": r, "t": t, "k": k}) for k in ks]
+
+
+def test_bsw_sweep_tasks_default_k_straddles_boundary_every_cell():
+    # the default pair is the last k with a 2k-factor, 2k(2t+1) <= 2t(2r+1),
+    # and the first without one, both within 1..r for every 1 <= t < r
+    for r in range(2, 31):
+        for t in range(1, r):
+            below, above = (a["k"] for _, a in bsw_sweep_tasks(r, t))
+            assert 1 <= below and above == below + 1 and above <= r, (r, t)
+            assert below * (2 * t + 1) <= t * (2 * r + 1) < above * (2 * t + 1), (r, t)
 
 
 # -- parity audit ------------------------------------------------------------------------
