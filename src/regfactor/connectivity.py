@@ -149,15 +149,15 @@ def vertex_connectivity(g: Multigraph) -> int:
     flow between non-adjacent vertices is below kappa, so `best` never
     drops below it and `limit = best` cuts no flow short of kappa.
     """
-    if any(u == v for _, u, v in g.edges()):
-        raise ValueError("vertex connectivity is defined for loop-free graphs")
-    if g.n < 2:
-        raise ValueError("vertex connectivity requires at least 2 vertices")
     n = g.n
     adj: list[set[int]] = [set() for _ in range(n)]
     for _, u, v in g.edges():
+        if u == v:
+            raise ValueError("vertex connectivity is defined for loop-free graphs")
         adj[u].add(v)
         adj[v].add(u)
+    if n < 2:
+        raise ValueError("vertex connectivity requires at least 2 vertices")
     arcs = [(2 * v, 2 * v + 1) for v in range(n)]
     arcs += [(2 * u + 1, 2 * w) for u in range(n) for w in adj[u]]
     out, head, cap = _network(2 * n, arcs)

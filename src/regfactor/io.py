@@ -10,6 +10,8 @@
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .multigraph import Multigraph
 
 
@@ -78,27 +80,20 @@ def _g6_decode_n(data: str) -> tuple[int, str]:
 
 
 def to_graph6(g: Multigraph) -> str:
-    """Encode a simple graph; loops or parallel edges are an error."""
+    """Encode a simple graph; loops or parallel edges are an error.
+
+    Pair (u, v) with u < v is bit v(v-1)/2 + u of the upper triangle, read
+    column by column, six bits to a character, high bit first.
+    """
     if not g.is_simple():
         raise ValueError("graph6 supports simple graphs only (no loops, no parallel edges)")
     n = g.n
-    head = _g6_encode_n(n)  # rejects a too-large n before the n(n-1)/2 bits are built
-    adj = set()
-    for _, u, v in g.edges():
-        adj.add((u, v))
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if (i, j) in adj else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = (val << 1) | b
-        chars.append(chr(val + 63))
-    return head + "".join(chars)
+    head = _g6_encode_n(n)  # rejects a too-large n before the packed bytes are allocated
+    data = bytearray(b"?") * ((n * (n - 1) // 2 + 5) // 6)
+    for _, u, v in g.edges():  # simple, so each bit is added once
+        p = v * (v - 1) // 2 + u
+        data[p // 6] += 32 >> (p % 6)
+    return head + data.decode("ascii")
 
 
 def from_graph6(text: str) -> Multigraph:
@@ -109,20 +104,21 @@ def from_graph6(text: str) -> Multigraph:
     if bad:
         raise ValueError(f"graph6 parse error: invalid character {bad[0]!r}")
     n, rest = _g6_decode_n(data)
-    need = (n * (n - 1) // 2 + 5) // 6
+    pairs = n * (n - 1) // 2
+    need = (pairs + 5) // 6
     if len(rest) != need:
         raise ValueError(f"graph6 parse error: expected {need} data characters, got {len(rest)}")
-    bits = []
-    for ch in rest:
-        val = ord(ch) - 63
-        bits.extend((val >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
     g = Multigraph(n)
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                g.add_edge(i, j)
-            idx += 1
+    for c, ch in enumerate(rest):
+        val = ord(ch) - 63
+        while val:  # set bits, high bit first, so edges come column by column
+            high = val.bit_length() - 1
+            val ^= 1 << high
+            p = 6 * c + 5 - high
+            if p >= pairs:  # padding bits are ignored
+                break
+            j = (1 + isqrt(8 * p + 1)) // 2
+            g.add_edge(p - j * (j - 1) // 2, j)
     return g
 
 

@@ -89,6 +89,19 @@ def test_vertex_connectivity_small(k4, c5):
         vertex_connectivity(Multigraph.from_edges(2, [(0, 0), (0, 1), (0, 1)]))
 
 
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        (Multigraph.from_edges(1, [(0, 0)]), "loop-free"),  # the loop is reported before the size
+        (Multigraph(1), "at least 2 vertices"),
+    ],
+    ids=["one-vertex-loop", "one-vertex"],
+)
+def test_vertex_connectivity_rejects_in_order(g, message):
+    with pytest.raises(ValueError, match=message):
+        vertex_connectivity(g)
+
+
 def test_vertex_connectivity_bsw():
     # exact values pinned by details.vertexConnectivity in verify_bsw reports
     for (r, t), kappa in {(2, 1): 3, (3, 1): 3, (3, 2): 5, (4, 1): 3}.items():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 
@@ -94,7 +96,7 @@ def test_graph6_rejects_multigraphs():
 
 
 def test_graph6_rejects_too_many_vertices_before_encoding():
-    # the size check comes first: the bit list alone would hold about 3.3e10 entries
+    # the size check comes first: the packed bytes alone would take about 5.5 GB
     with pytest.raises(ValueError, match="at most 258047 vertices, got 258048"):
         to_graph6(Multigraph(258_048))
 
@@ -105,6 +107,23 @@ def test_graph6_large_graph_prefix():
     big = Multigraph(100)
     assert from_graph6(to_graph6(big)) == big
     assert from_graph6(to_graph6(g)) == g
+
+
+def test_graph6_long_prefix_host_with_edges_pinned():
+    g = bsw_graph(BswParams(3, 1))
+    text = to_graph6(g)
+    assert (g.n, g.m, text[0]) == (66, 231, "~")
+    assert hashlib.sha256(text.encode()).hexdigest() == "2216d798689738b911c348d2e68c9d332fb4ec86e4f2afb7c51d6a8f94cf4616"
+    back = from_graph6(text)
+    assert back == g
+    # edges are decoded column by column: by larger endpoint, then smaller
+    pairs = [(u, v) for _, u, v in back.edges()]
+    assert pairs == sorted(pairs, key=lambda e: (e[1], e[0]))
+
+
+def test_graph6_padding_bits_ignored():
+    # "Bw" is the triangle with zero padding; "B~" sets the three padding bits
+    assert from_graph6("B~").edges() == from_graph6("Bw").edges() == complete_graph(3).edges()
 
 
 def test_dot_export():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -32,6 +33,7 @@ from regfactor import (
 from regfactor import verifier
 from regfactor.verifier import (
     RK_PAIRS,
+    RT_PAIRS,
     _orient_bridges,
     bsw_sweep_tasks,
     charzn_sweep_tasks,
@@ -373,6 +375,23 @@ def test_run_tasks_parallel_matches_serial(tasks):
         a.pop("millis")
         b.pop("millis")
     assert serial == parallel
+
+
+def test_battery_verify_lines_pinned():
+    # every battery cell's `verify` JSON line, millis removed: charzn over
+    # RK_PAIRS, bsw over RT_PAIRS, then five main trials per RK_PAIRS cell at
+    # seed 0.  The hash is the sha256 of the lines joined by newlines.
+    tasks = [task for r, k in RK_PAIRS for task in charzn_sweep_tasks(r, k)]
+    tasks += [task for r, t in RT_PAIRS for task in bsw_sweep_tasks(r, t)]
+    tasks += [task for r, k in RK_PAIRS for task in main_sweep_tasks(r, k, 5, 0)]
+    lines = []
+    for rep in run_tasks(tasks):
+        data = rep.to_json()
+        data.pop("millis")
+        lines.append(json.dumps(data))
+    assert len(lines) == 122
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "d2b2c1428a2e887f299ad26f7be7e4b901182185b8191e622500ef4c83be3848"
 
 
 def test_run_task_owns_the_clock(k4):
