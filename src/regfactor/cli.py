@@ -203,10 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs(p)
 
     p = ver_sub.add_parser("charzn", help="extremal characterization, both directions")
-    p.set_defaults(tasks=lambda a: charzn_sweep_tasks(a.r, a.k, a.seed))
+    p.set_defaults(tasks=lambda a: charzn_sweep_tasks(a.r, a.k))
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     add_jobs(p)
 
     p = ver_sub.add_parser("bsw", help="clique-block sharpness boundary")

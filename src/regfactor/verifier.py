@@ -453,8 +453,8 @@ def main_sweep_tasks(r: int, k: int, trials: int, seed: int, sizes=(6, 8, 10, 12
     ]
 
 
-def charzn_sweep_tasks(r: int, k: int, seed: int = 0) -> list[tuple]:
-    tasks: list[tuple] = [("extremal", {**asdict(p), "seed": seed}) for p in extremal_parameter_grid(r, k)]
+def charzn_sweep_tasks(r: int, k: int) -> list[tuple]:
+    tasks: list[tuple] = [("extremal", {**asdict(p), "seed": 0}) for p in extremal_parameter_grid(r, k)]
     tasks.append(("control", {"r": r, "k": k}))
     return tasks
 

@@ -92,8 +92,41 @@ def sha256(text):
             {"n": 38, "m": 95, "regular": 5, "bridges": 0},
             "62b9362bd87cb1a8b68d1005f4a2d73fd7c6aeb54ec124b807b60871ed06beb3",
         ),
+        (
+            ("sylvester", "--r", "1", "--k", "1"),
+            {"n": 10, "m": 15, "regular": 3, "bridges": 3},
+            "8954b9715de47f5443d25787ce6be6b0b15165a92a992954c93f52d7e65e67f8",
+        ),
+        (
+            ("sylvester", "--r", "2", "--k", "1"),
+            {"n": 16, "m": 40, "regular": 5, "bridges": 5},
+            "8a34d681cc9df5f451b3498adf2180898a50af4fb7fba09a40707f017443cf83",
+        ),
+        (
+            ("extremal", "--r", "1", "--k", "1", "--size-t", "3", "--size-s", "1", "--blisters", "1"),
+            {"n": 18, "m": 27, "regular": 3, "bridges": 3},
+            "e4d6e5b4f43a8235b60e2ae3adea0484fbb8ff59cb3cfa5b3e2e56910f7bc8bb",
+        ),
+        (
+            ("extremal", "--r", "4", "--k", "3", "--size-t", "2", "--size-s", "1"),
+            {"n": 18, "m": 81, "regular": 9, "bridges": 3},
+            "d0efc2888f5d49f59f77855d51d4d089cc5f794950e02b86b17d74494386fd61",
+        ),
+        (
+            ("bsw", "--r", "2", "--t", "1"),
+            {"n": 38, "m": 95, "regular": 5, "bridges": 0},
+            "8e531333f8bade6809b003c9093176975259ba6edf8bfab9e4a6a3c93e3fe018",
+        ),
+        (
+            ("named", "--name", "petersen"),
+            {"n": 10, "m": 15, "regular": 3, "bridges": 0},
+            "3e123476f05599d68782db0844bac0ee196c0a6839f12590b1ce262cfde5af26",
+        ),
     ],
-    ids=["extremal", "random-regular-connected", "named-cycle", "named-complete", "bsw-graph6"],
+    ids=[
+        "extremal", "random-regular-connected", "named-cycle", "named-complete", "bsw-graph6",
+        "sylvester-r1", "sylvester-r2", "extremal-blistered", "extremal-r4k3", "bsw-mgf", "named-petersen",
+    ],
 )
 def test_generate_to_stdout_pinned(capsys, argv, summary, digest):
     code, stdout, stderr = run_cli(capsys, "generate", *argv)
@@ -345,6 +378,16 @@ def test_verify_parity_is_no_mode(capsys):
     assert "invalid choice: 'parity'" in captured.err
 
 
+def test_verify_charzn_takes_no_seed(capsys):
+    # the grid is checked at seed 0 only: a report names its cell, not the seed that built it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "charzn", "--r", "1", "--k", "1", "--seed", "2"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--seed" in captured.err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_verify_fewer_than_one_job_exit_2(capsys, jobs):
     code, stdout, stderr = run_cli(capsys, "verify", "main", "--r", "1", "--k", "1", "--trials", "2", "--jobs", jobs)
@@ -378,7 +421,7 @@ def test_verify_bsw_rejects_k_outside_1_to_r(capsys, k):
     assert "need 1 <= k <= r" in stderr
 
 
-@pytest.mark.parametrize("script", ["run_verification.py", "build_gallery.py"])
+@pytest.mark.parametrize("script", ["run_verification.py"])
 def test_scripts_run_from_plain_checkout(script, tmp_path):
     # no install and no PYTHONPATH: the script must find the checkout's src/ itself
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}

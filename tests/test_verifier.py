@@ -218,13 +218,16 @@ def test_every_grid_cell_certified():
     # every r <= 4 cell at seed 0, the blistered b2, the r4k3 t3s1 and the
     # two n = 14 cells (whose first candidate is the oracle's 3^14 scan)
     # included
-    certified = 0
+    certs = []
     for r, k in RK_PAIRS:
         for params in extremal_parameter_grid(r, k):
             cert = characterization_check(general_extremal(params), r, k)
             assert cert.all_conditions_hold and cert.all_equalities_hold, params
-            certified += 1
-    assert certified == 72
+            certs.append(cert.to_json())
+    assert len(certs) == 72
+    # the exact (S, T) of every cell, in grid order
+    digest = hashlib.sha256(json.dumps(certs).encode()).hexdigest()
+    assert digest == "2975db240240495aee5b807be2324b98069d841183b849bfd86c2df6f872e369"
 
 
 def test_certificate_search_finds_cut_edges_once(monkeypatch):
@@ -365,8 +368,8 @@ def test_main_theorem_failure_carries_oracle_witness(k4, monkeypatch):
 
 @pytest.mark.parametrize(
     "tasks",
-    [main_sweep_tasks(1, 1, trials=8, seed=9), charzn_sweep_tasks(1, 1)],
-    ids=["main", "charzn"],
+    [main_sweep_tasks(1, 1, trials=8, seed=9), charzn_sweep_tasks(1, 1), bsw_sweep_tasks(2, 1)],
+    ids=["main", "charzn", "bsw"],
 )
 def test_run_tasks_parallel_matches_serial(tasks):
     serial = [rep.to_json() for rep in run_tasks(tasks, jobs=1)]
