@@ -2,7 +2,7 @@
 
 Subcommands:
   generate  — write a graph from one of the built-in families
-  check     — analyze a graph file: regularity, cut-edges, 2k-factor
+  check     — analyze an mgf or graph6 file: regularity, cut-edges, 2k-factor
   verify    — run theorem sweeps, one JSON report per line
 
 Exit codes: 0 success / all checks passed, 1 a theorem check failed,
@@ -49,7 +49,6 @@ EXIT_USAGE = 2
 
 
 WRITERS = {"mgf": gio.to_mgf, "dot": gio.to_dot, "graph6": lambda g: gio.to_graph6(g) + "\n"}
-READERS = {"mgf": gio.from_mgf, "graph6": gio.from_graph6}
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -73,11 +72,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise ValueError(f"--k must be >= 1, got {args.k}")
     with open(args.input) as fh:
         text = fh.read()
-    # "auto" is no reader: it picks one by the file name's suffix
-    reader = READERS.get(args.format) or (
-        gio.from_graph6 if args.input.endswith((".g6", ".graph6")) else gio.from_mgf
-    )
-    g = reader(text)
+    # every mgf text opens with the token "mgf", and no graph6 text is that one token
+    g = gio.from_mgf(text) if text.split(maxsplit=1)[:1] == ["mgf"] else gio.from_graph6(text)
     report: dict = {
         "input": args.input,
         "n": g.n,
@@ -182,8 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser("check", help="analyze a graph file")
     chk.set_defaults(run=cmd_check)
-    chk.add_argument("--input", required=True)
-    chk.add_argument("--format", choices=["auto", *READERS], default="auto")
+    chk.add_argument("--input", required=True, help="an mgf or graph6 file, told apart by its first token")
     chk.add_argument("--k", type=int, required=True)
     chk.add_argument("--oracle", action="store_true", help="also run the exhaustive criterion scan")
 

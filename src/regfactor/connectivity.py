@@ -25,47 +25,40 @@ from .multigraph import Multigraph
 
 def bridges(g: Multigraph) -> list[int]:
     """Sorted ids of all cut-edges of g."""
+    ends = g.edges()
     disc = [-1] * g.n
     low = [0] * g.n
     out: list[int] = []
+    timer = 0
     for root in range(g.n):
         if disc[root] != -1:
             continue
-        timer = 0
-        # stack entries: (vertex, entry edge id, index into incidence list)
-        stack = [(root, -1, 0)]
         disc[root] = low[root] = timer
         timer += 1
+        # one frame per vertex on the DFS path: (vertex, entry edge id, its unread edge ids)
+        stack = [(root, -1, iter(g.incident(root)))]
         while stack:
-            v, entry, i = stack.pop()
-            inc = g._inc[v]
-            advanced = False
-            while i < len(inc):
-                eid = inc[i]
-                i += 1
-                if eid == entry:
-                    continue
-                a, b = g.edge(eid)
+            v, entry, unread = stack[-1]
+            for eid in unread:
+                _, a, b = ends[eid]
                 w = b if a == v else a
-                if w == v:  # loop
+                if eid == entry or w == v:  # the entry edge itself, or a loop
                     continue
                 if disc[w] == -1:
-                    stack.append((v, entry, i))
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, eid, 0))
-                    advanced = True
+                    stack.append((w, eid, iter(g.incident(w))))
                     break
                 low[v] = min(low[v], disc[w])
-            if not advanced and entry != -1:
+            else:
                 # returning from v to its parent through `entry`
-                a, b = g.edge(entry)
-                parent = b if disc[b] < disc[a] else a
-                low[parent] = min(low[parent], low[v])
-                if low[v] > disc[parent]:
-                    out.append(entry)
-    out.sort()
-    return out
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] > disc[parent]:
+                        out.append(entry)
+    return sorted(out)
 
 
 def is_connected(g: Multigraph) -> bool:

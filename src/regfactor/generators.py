@@ -349,12 +349,14 @@ def _pairing_samples(n: int, d: int, seed: int) -> Iterator[Multigraph]:
         raise ValueError(f"need n >= 1, d >= 0 and n*d even, got n={n}, d={d}")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
-    while True:
+
+    def draw() -> Multigraph:
         rng.shuffle(stubs)
         g = Multigraph(n)
         for i in range(0, len(stubs), 2):
             g.add_edge(stubs[i], stubs[i + 1])
-        yield g
+        return g
+    return iter(draw, None)  # endless, and n and d are checked before the first draw
 
 
 def random_regular_multigraph(n: int, d: int, seed: int) -> Multigraph:
@@ -368,7 +370,10 @@ def random_regular_multigraph(n: int, d: int, seed: int) -> Multigraph:
 
 def random_connected_regular_multigraph(n: int, d: int, seed: int) -> Multigraph:
     """Resample the pairing model until the graph is connected."""
-    for _, g in zip(range(MAX_TRIES), _pairing_samples(n, d, seed)):
+    samples = _pairing_samples(n, d, seed)  # checks n and d first
+    if n * d < 2 * (n - 1):  # d = 0 with n > 1, or d = 1 with n > 2
+        raise ValueError(f"no connected {d}-regular graph on {n} vertices: it has fewer than n - 1 edges")
+    for _, g in zip(range(MAX_TRIES), samples):
         if is_connected(g):
             return g
     raise ValueError(f"no connected {d}-regular sample on {n} vertices after {MAX_TRIES} tries")

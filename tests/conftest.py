@@ -1,7 +1,12 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from regfactor import ExtremalParams, complete_graph, cycle_graph, general_extremal_with_partition
+from regfactor.generators import (
+    ExtremalParams,
+    complete_graph,
+    cycle_graph,
+    general_extremal_with_partition,
+)
 
 settings.register_profile(
     "suite",

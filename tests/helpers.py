@@ -13,17 +13,10 @@ from itertools import combinations, product
 
 from hypothesis import strategies as st
 
-from regfactor import (
-    BswParams,
-    Multigraph,
-    TutteWitness,
-    bsw_graph,
-    build_factor_gadget,
-    max_matching,
-    q_count,
-    random_connected_regular_multigraph,
-    tutte_deficiency,
-)
+from regfactor.factor import TutteWitness, build_factor_gadget, q_count, tutte_deficiency
+from regfactor.generators import BswParams, bsw_graph, random_connected_regular_multigraph
+from regfactor.matching import max_matching
+from regfactor.multigraph import Multigraph
 from regfactor.verifier import RK_PAIRS, RT_PAIRS, main_sweep_tasks
 
 

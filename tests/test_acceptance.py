@@ -7,30 +7,31 @@ import json
 import random
 import time
 
-from regfactor import (
-    BswParams,
-    bridged_chain,
-    bridges,
-    bsw_graph,
-    characterization_check,
-    check_extremal_equalities,
+from regfactor.connectivity import bridges, vertex_connectivity
+from regfactor.factor import (
     exhaustive_tutte_oracle,
-    extremal_parameter_grid,
     find_factor,
-    general_extremal_with_partition,
     has_2k_factor,
     q_count,
+    t_odd_profile,
+    tutte_deficiency,
+)
+from regfactor.generators import (
+    BswParams,
+    ExtremalParams,
+    bridged_chain,
+    bsw_graph,
+    complete_graph,
+    extremal_parameter_grid,
+    general_extremal_with_partition,
     random_multigraph,
     random_regular_multigraph,
     sylvester_extremal,
-    t_odd_profile,
-    tutte_deficiency,
-    vertex_connectivity,
-    ExtremalParams,
-    complete_graph,
 )
 from regfactor.verifier import (
     RK_PAIRS,
+    characterization_check,
+    check_extremal_equalities,
     main_sweep_tasks,
     run_tasks,
     verify_bsw,

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from regfactor import TutteWitness, VerificationReport
 from regfactor.cli import main
+from regfactor.factor import TutteWitness
+from regfactor.verifier import VerificationReport
 
 
 def run_cli(capsys, *argv):
@@ -138,17 +139,17 @@ def test_generate_to_stdout_pinned(capsys, argv, summary, digest):
 @pytest.mark.parametrize(
     "name, generate, check, digest",
     [
-        # explicit formats that override the file name's suffix both ways
+        # the first token picks the reader, whatever the file name's suffix says
         (
             "petersen.txt",
             ("--name", "petersen", "--format", "graph6"),
-            ("--format", "graph6"),
+            (),
             "636e828a32eef25ba4fc07ba1ae964b85f0466c6a0bd6cba4aae0a0b02b994ee",
         ),
         (
             "k4.g6",
             ("--name", "complete", "--n", "4"),
-            ("--format", "mgf"),
+            (),
             "197776f3d7e8e87af05de7b5c6946614a390f322e9b0917417d5c024d24e4b66",
         ),
         (
@@ -172,6 +173,18 @@ def test_check_format_pinned(tmp_path, capsys, name, generate, check, digest):
     assert sha256(json.dumps(report)) == digest
 
 
+def test_check_takes_no_format(tmp_path, capsys):
+    # mgf and graph6 are told apart by the file's first token, so no flag picks the reader
+    path = tmp_path / "petersen.g6"
+    run_cli(capsys, "generate", "named", "--name", "petersen", "--format", "graph6", "--out", str(path))
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--input", str(path), "--k", "1", "--format", "graph6"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--format" in captured.err
+
+
 def test_generate_graph6_refuses_multigraph(capsys):
     code, _, stderr = run_cli(capsys, "generate", "sylvester", "--r", "1", "--k", "1", "--format", "graph6")
     assert code == 2
@@ -184,6 +197,19 @@ def test_generate_negative_degree_exit_2(capsys, extra):
     assert code == 2
     assert stdout == ""
     assert "d >= 0" in stderr
+
+
+@pytest.mark.parametrize("n, d", [("20000", "1"), ("2", "0")])
+def test_generate_connected_impossible_exit_2(monkeypatch, capsys, n, d):
+    # n*d/2 edges are fewer than the n - 1 that connect n vertices, so no sample is drawn
+    def no_sample(n):
+        raise AssertionError("a pairing sample was drawn")
+
+    monkeypatch.setattr("regfactor.generators.Multigraph", no_sample)
+    code, stdout, stderr = run_cli(capsys, "generate", "random-regular", "--n", n, "--d", d, "--seed", "0", "--connected")
+    assert code == 2
+    assert stdout == ""
+    assert "fewer than n - 1 edges" in stderr
 
 
 def test_check_k4(tmp_path, capsys):

@@ -4,17 +4,9 @@ import pytest
 from hypothesis import given
 
 import regfactor.connectivity
-from regfactor import (
-    Multigraph,
-    bridges,
-    bsw_graph,
-    BswParams,
-    edge_connectivity,
-    is_connected,
-    petersen_graph,
-    sylvester_extremal,
-    vertex_connectivity,
-)
+from regfactor.connectivity import bridges, edge_connectivity, is_connected, vertex_connectivity
+from regfactor.generators import BswParams, bsw_graph, petersen_graph, sylvester_extremal
+from regfactor.multigraph import Multigraph
 
 from helpers import (
     brute_edge_connectivity,

@@ -7,25 +7,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from regfactor import (
+from regfactor.connectivity import bridges
+from regfactor.factor import (
     FactorResult,
-    Multigraph,
-    bridges,
-    bsw_graph,
-    BswParams,
     build_factor_gadget,
-    complete_graph,
+    component_edge_counts,
     exhaustive_tutte_oracle,
     find_factor,
     has_2k_factor,
     q_count,
-    random_regular_multigraph,
-    sylvester_extremal,
     t_odd_profile,
     tutte_deficiency,
 )
-
-from regfactor.factor import component_edge_counts
+from regfactor.generators import (
+    BswParams,
+    bsw_graph,
+    complete_graph,
+    random_regular_multigraph,
+    sylvester_extremal,
+)
+from regfactor.multigraph import Multigraph
 
 from helpers import (
     disjoint_pairs,

@@ -5,32 +5,29 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import regfactor.generators
-from regfactor import (
+from regfactor.connectivity import bridges, is_connected
+from regfactor.factor import find_factor, has_2k_factor, t_odd_profile
+from regfactor.generators import (
     BswParams,
     ExtremalParams,
-    Multigraph,
     bridged_chain,
-    bridges,
     bsw_graph,
     complement,
     complete_graph,
     deficiency_component,
     extremal_parameter_grid,
-    find_factor,
     general_extremal,
     general_extremal_with_partition,
     h_rt,
-    has_2k_factor,
-    is_connected,
     named_graphs,
     petersen_graph,
     random_connected_regular_multigraph,
     random_multigraph,
     random_regular_multigraph,
     sylvester_extremal,
-    t_odd_profile,
-    to_mgf,
 )
+from regfactor.io import to_mgf
+from regfactor.multigraph import Multigraph
 from regfactor.verifier import RK_PAIRS, RT_PAIRS
 
 
@@ -229,7 +226,8 @@ def test_connected_sampler():
     assert g == random_connected_regular_multigraph(8, 3, seed=11)
 
 
-@pytest.mark.parametrize("n, d", [(4, 3), (6, 3), (8, 2), (8, 5), (10, 3)])
+# (1, 0) and (2, 1) have exactly the n - 1 edges that connect n vertices
+@pytest.mark.parametrize("n, d", [(1, 0), (2, 1), (4, 3), (6, 3), (8, 2), (8, 5), (10, 3)])
 def test_connected_sampler_keeps_a_connected_first_sample(n, d):
     connected_first = 0
     for seed in range(40):
@@ -249,10 +247,18 @@ def test_connected_sampler_resample_stream_pinned():
     ]
 
 
-def test_connected_sampler_gives_up_after_max_tries():
-    # a 1-regular graph on 6 vertices is never connected
+def test_connected_sampler_gives_up_after_max_tries(monkeypatch):
+    # every sample reads as disconnected, so the sampler stops after MAX_TRIES draws
+    drawn = []
+
+    def never_connected(g):
+        drawn.append(g)
+        return False
+
+    monkeypatch.setattr(regfactor.generators, "is_connected", never_connected)
     with pytest.raises(ValueError, match="after 2000 tries"):
-        random_connected_regular_multigraph(6, 1, seed=0)
+        random_connected_regular_multigraph(6, 3, seed=0)
+    assert len(drawn) == regfactor.generators.MAX_TRIES == 2000
 
 
 # -- named graphs and controls --------------------------------------------------------

@@ -3,18 +3,9 @@ import hashlib
 import pytest
 from hypothesis import given
 
-from regfactor import (
-    Multigraph,
-    bsw_graph,
-    BswParams,
-    complete_graph,
-    cycle_graph,
-    from_graph6,
-    from_mgf,
-    to_dot,
-    to_graph6,
-    to_mgf,
-)
+from regfactor.generators import BswParams, bsw_graph, complete_graph, cycle_graph
+from regfactor.io import from_graph6, from_mgf, to_dot, to_graph6, to_mgf
+from regfactor.multigraph import Multigraph
 
 from helpers import multigraphs, simple_graphs
 

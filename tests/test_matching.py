@@ -4,15 +4,10 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from regfactor import (
-    Multigraph,
-    build_factor_gadget,
-    complete_graph,
-    max_matching,
-    petersen_graph,
-    random_connected_regular_multigraph,
-)
-from regfactor.matching import adjacency_lists, maximum_matching_adjacency
+from regfactor.factor import build_factor_gadget
+from regfactor.generators import complete_graph, petersen_graph, random_connected_regular_multigraph
+from regfactor.matching import adjacency_lists, max_matching, maximum_matching_adjacency
+from regfactor.multigraph import Multigraph
 from regfactor.verifier import RK_PAIRS, main_sweep_tasks
 
 from helpers import (

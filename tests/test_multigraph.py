@@ -1,8 +1,13 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from regfactor import Multigraph, complete_graph, h_rt, random_regular_multigraph
+import regfactor
+from regfactor.generators import complete_graph, h_rt, random_regular_multigraph
+from regfactor.multigraph import Multigraph
 
 from helpers import disjoint_pairs, multigraphs
 
@@ -197,3 +202,16 @@ def test_regular_degree():
     g = Multigraph.from_edges(3, [(0, 1)])
     assert g.regular_degree() is None
     assert Multigraph(0).regular_degree() is None
+
+
+def test_no_other_module_reads_multigraph_fields():
+    # the incidence layout is multigraph.py's own; every other module goes through its methods
+    fields = {"_n", "_edges", "_inc", "_deg"}
+    reads = [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for path in sorted(Path(regfactor.__file__).parent.glob("*.py"))
+        if path.name != "multigraph.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in fields
+    ]
+    assert reads == []

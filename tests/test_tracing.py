@@ -8,6 +8,7 @@ import importlib.util
 import sys
 from collections import Counter
 from pathlib import Path
+from types import ModuleType
 
 import regfactor
 from regfactor.verifier import RK_PAIRS, RT_PAIRS
@@ -24,37 +25,49 @@ def _load(monkeypatch, name: str, path: Path):
     return module
 
 
+def test_package_root_binds_only_modules(monkeypatch):
+    # each name has one import path, its module's; the tracer reaches names through seven modules
+    tracing = _load(monkeypatch, "perfbench_tracing", PERFBENCH / "tracing.py")
+    public = {name: value for name, value in vars(regfactor).items() if not name.startswith("_")}
+    assert all(isinstance(value, ModuleType) for value in public.values()), sorted(public)
+    traced = {*tracing.LAYER_FUNCTIONS, "generators", "multigraph"}
+    assert traced == {"connectivity", "factor", "generators", "io", "matching", "multigraph", "verifier"}
+    assert traced <= set(public)
+    assert regfactor.__version__ == "0.1.0"
+
+
 def test_tracer_installs_and_restores(monkeypatch):
     tracing = _load(monkeypatch, "perfbench_tracing", PERFBENCH / "tracing.py")
 
     bridges = regfactor.verifier.bridges
     find_factor = regfactor.factor.find_factor
-    count = vars(regfactor.Multigraph)["cross_edge_count"]
+    count = vars(regfactor.multigraph.Multigraph)["cross_edge_count"]
     tracer = tracing.Tracer()
     try:
         tracer.install(regfactor)
         assert regfactor.verifier.bridges is not bridges
         assert regfactor.factor.find_factor is not find_factor
-        assert vars(regfactor.Multigraph)["cross_edge_count"] is not count
+        assert vars(regfactor.multigraph.Multigraph)["cross_edge_count"] is not count
     finally:
         tracer.restore()
     assert regfactor.verifier.bridges is bridges
     assert regfactor.factor.find_factor is find_factor
-    assert vars(regfactor.Multigraph)["cross_edge_count"] is count
+    assert vars(regfactor.multigraph.Multigraph)["cross_edge_count"] is count
 
 
 def test_every_hook_reads_a_real_result(monkeypatch):
     tracing = _load(monkeypatch, "perfbench_tracing", PERFBENCH / "tracing.py")
-    g = regfactor.sylvester_extremal(1, 1)  # 10 vertices, 3 cut-edges, no 2-factor
-    cert = regfactor.characterization_check(g, 1, 1)
+    g = regfactor.generators.sylvester_extremal(1, 1)  # 10 vertices, 3 cut-edges, no 2-factor
+    cert = regfactor.verifier.characterization_check(g, 1, 1)
+    gadget = regfactor.factor.build_factor_gadget(regfactor.generators.complete_graph(4), 2)[0]
     # hooked name -> (arguments of one real call, the caller the hook is told of)
     calls = {
-        "max_matching": ((regfactor.build_factor_gadget(regfactor.complete_graph(4), 2)[0],), None),
+        "max_matching": ((gadget,), None),
         "build_factor_gadget": ((g, 2), None),
         "find_factor": ((g, 2), None),
         "exhaustive_tutte_oracle": ((g, 2), None),
         "vertex_connectivity": ((g,), None),
-        "check_conditions_a_f": ((g, 1, 1, cert.S, cert.T, regfactor.bridges(g)), "characterization_check"),
+        "check_conditions_a_f": ((g, 1, 1, cert.S, cert.T, regfactor.connectivity.bridges(g)), "characterization_check"),
         "characterization_check": ((g, 1, 1), None),
     }
     assert set(calls) == set(tracing._HOOKS)

@@ -6,40 +6,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regfactor import (
+from regfactor import verifier
+from regfactor.connectivity import bridges
+from regfactor.factor import TutteWitness, has_2k_factor
+from regfactor.generators import (
     BswParams,
     ExtremalParams,
-    Multigraph,
-    TutteWitness,
     bridged_chain,
-    bridges,
-    characterization_check,
-    check_conditions_a_f,
-    check_extremal_equalities,
     complete_graph,
     extremal_parameter_grid,
     general_extremal,
     general_extremal_with_partition,
-    has_2k_factor,
-    parity_audit,
     petersen_graph,
     random_regular_multigraph,
     sylvester_extremal,
-    verify_bsw,
-    verify_control_instance,
-    verify_extremal_instance,
-    verify_main_theorem,
 )
-from regfactor import verifier
+from regfactor.multigraph import Multigraph
 from regfactor.verifier import (
     RK_PAIRS,
     RT_PAIRS,
     _orient_bridges,
     bsw_sweep_tasks,
+    characterization_check,
     charzn_sweep_tasks,
+    check_conditions_a_f,
+    check_extremal_equalities,
     main_sweep_tasks,
+    parity_audit,
     run_task,
     run_tasks,
+    verify_bsw,
+    verify_control_instance,
+    verify_extremal_instance,
+    verify_main_theorem,
 )
 
 from helpers import bridged_blocks, multigraphs, naive_bridge_orientation, naive_conditions
