@@ -9,7 +9,7 @@ Exit codes: 0 success / all checks passed, 1 a theorem check failed,
 2 usage or parse error.
 
 Examples:
-  regfactor generate sylvester --r 1 --k 1 --out g.mgf
+  regfactor generate extremal --r 1 --k 1 --size-t 1 --out g.mgf
   regfactor generate bsw --r 2 --t 1 --format dot
   regfactor check --input g.mgf --k 1 --oracle
   regfactor verify main --r 2 --k 1 --trials 200 --seed 1
@@ -30,11 +30,12 @@ from .generators import (
     BswParams,
     ExtremalParams,
     bsw_graph,
+    complete_graph,
+    cycle_graph,
     general_extremal,
-    named_graphs,
+    petersen_graph,
     random_connected_regular_multigraph,
     random_regular_multigraph,
-    sylvester_extremal,
 )
 from .verifier import (
     bsw_sweep_tasks,
@@ -120,12 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=list(WRITERS), default="mgf")
         p.add_argument("--out", help="output path (default: stdout)")
 
-    p = gen_sub.add_parser("sylvester", help="one-hub extremal graph")
-    p.set_defaults(build=lambda a: sylvester_extremal(a.r, a.k))
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    add_output(p)
-
     p = gen_sub.add_parser("extremal", help="general extremal family")
     p.set_defaults(
         build=lambda a: general_extremal(
@@ -134,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--size-t", type=int, required=True, dest="size_t")
+    p.add_argument("--size-t", type=int, required=True, dest="size_t", help="1: one-hub (Sylvester-type) graph")
     p.add_argument("--size-s", type=int, default=0, dest="size_s")
     p.add_argument("--blisters", type=int, default=0)
     p.add_argument("--extra", type=int, default=0)
@@ -161,19 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_output(p)
 
-    catalog = named_graphs()
+    for name, graph in (("complete", complete_graph), ("cycle", cycle_graph)):
+        p = gen_sub.add_parser(name, help=f"{name} graph on --n vertices")
+        p.set_defaults(build=lambda a, graph=graph: graph(a.n))
+        p.add_argument("--n", type=int, default=5)
+        add_output(p)
 
-    def build_named(a: argparse.Namespace):
-        if a.name != "petersen":
-            return catalog[a.name](5 if a.n is None else a.n)
-        if a.n is not None:
-            raise ValueError("--n does not apply to petersen, which has 10 vertices")
-        return catalog[a.name]()
-
-    p = gen_sub.add_parser("named", help="catalog graphs")
-    p.set_defaults(build=build_named)
-    p.add_argument("--name", choices=sorted(catalog), required=True)
-    p.add_argument("--n", type=int, help="vertex count for complete and cycle (default: 5)")
+    p = gen_sub.add_parser("petersen", help="the Petersen graph, 10 vertices")
+    p.set_defaults(build=lambda a: petersen_graph())
     add_output(p)
 
     chk = sub.add_parser("check", help="analyze a graph file")

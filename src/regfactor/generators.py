@@ -38,6 +38,7 @@ class ExtremalParams:
 
     Requires 1 <= k and 3k <= 2r+1; size_t - size_s >= 1, with equality
     forced when 3k < 2r+1.  At most (2r+1)·size_s blisters, one per S-T edge.
+    size_t = 1 (so size_s = 0) is the one-hub (Sylvester-type) graph.
     """
 
     r: int
@@ -266,12 +267,6 @@ def general_extremal(params: ExtremalParams, seed: int = 0) -> Multigraph:
     return g
 
 
-def sylvester_extremal(r: int, k: int) -> Multigraph:
-    """The one-hub extremal graph: a single t-vertex joined by single edges
-    to 2r+4-3k pendant components and by edge triples to k-1 more."""
-    return general_extremal(ExtremalParams(r, k, size_t=1, size_s=0))
-
-
 def extremal_parameter_grid(r: int, k: int) -> list[ExtremalParams]:
     """Every parameter bundle exercised for a given (r, k)."""
     diffs = [1] if 3 * k < 2 * r + 1 else [1, 2]
@@ -424,12 +419,3 @@ def complement(g: Multigraph) -> Multigraph:
             if (i, j) not in adj:
                 out.add_edge(i, j)
     return out
-
-
-def named_graphs() -> dict:
-    """Catalog of parameterized named constructions."""
-    return {
-        "complete": complete_graph,
-        "cycle": cycle_graph,
-        "petersen": petersen_graph,
-    }

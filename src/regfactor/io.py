@@ -14,6 +14,8 @@ from math import isqrt
 
 from .multigraph import Multigraph
 
+_MAX_N = 258047  # the most vertices graph6 can encode; from_mgf refuses more too
+
 
 def to_mgf(g: Multigraph) -> str:
     lines = [f"mgf {g.n} {g.m}"]
@@ -34,6 +36,8 @@ def from_mgf(text: str) -> Multigraph:
         raise ValueError("mgf parse error (line 1): n and m must be integers") from None
     if n < 0 or m < 0:
         raise ValueError("mgf parse error (line 1): n and m must be non-negative")
+    if n > _MAX_N:  # checked before Multigraph(n) allocates n incidence lists
+        raise ValueError(f"mgf parse error (line 1): n must be at most {_MAX_N}, got {n}")
     body = [ln for ln in lines[1:]]
     # Tolerate trailing blank lines only.
     while body and not body[-1].strip():
@@ -61,9 +65,9 @@ def from_mgf(text: str) -> Multigraph:
 def _g6_encode_n(n: int) -> str:
     if n <= 62:
         return chr(n + 63)
-    if n <= 258047:
+    if n <= _MAX_N:
         return "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    raise ValueError(f"graph6 export supports at most 258047 vertices, got {n}")
+    raise ValueError(f"graph6 export supports at most {_MAX_N} vertices, got {n}")
 
 
 def _g6_decode_n(data: str) -> tuple[int, str]:

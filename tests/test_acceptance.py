@@ -23,10 +23,10 @@ from regfactor.generators import (
     bsw_graph,
     complete_graph,
     extremal_parameter_grid,
+    general_extremal,
     general_extremal_with_partition,
     random_multigraph,
     random_regular_multigraph,
-    sylvester_extremal,
 )
 from regfactor.verifier import (
     RK_PAIRS,
@@ -47,7 +47,7 @@ def _announce(num: int, text: str) -> None:
 
 def test_criterion_1_sylvester_reproduction():
     start = time.perf_counter()
-    g = sylvester_extremal(1, 1)
+    g = general_extremal(ExtremalParams(1, 1, size_t=1))
     assert g.regular_degree() == 3
     cut = bridges(g)
     assert len(cut) == 3

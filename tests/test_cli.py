@@ -20,7 +20,7 @@ def run_cli(capsys, *argv):
 
 def test_generate_sylvester_summary(tmp_path, capsys):
     out = tmp_path / "syl.mgf"
-    code, stdout, _ = run_cli(capsys, "generate", "sylvester", "--r", "1", "--k", "1", "--out", str(out))
+    code, stdout, _ = run_cli(capsys, "generate", "extremal", "--r", "1", "--k", "1", "--size-t", "1", "--out", str(out))
     assert code == 0
     summary = json.loads(stdout)
     assert summary == {"n": 10, "m": 15, "regular": 3, "bridges": 3}
@@ -56,7 +56,7 @@ def test_generate_formats(tmp_path, capsys):
     assert json.loads(stdout)["regular"] == 5
 
     dot = tmp_path / "g.dot"
-    code, _, _ = run_cli(capsys, "generate", "named", "--name", "petersen", "--format", "dot", "--out", str(dot))
+    code, _, _ = run_cli(capsys, "generate", "petersen", "--format", "dot", "--out", str(dot))
     assert code == 0
     assert dot.read_text().startswith("graph G {")
 
@@ -79,12 +79,12 @@ def sha256(text):
             "562f47feb2f97e087b0f4a5701cb743b2ef177a32f60aeb1ef847e8604850770",
         ),
         (
-            ("named", "--name", "cycle"),
+            ("cycle",),
             {"n": 5, "m": 5, "regular": 2, "bridges": 0},
             "250af20857ae96eda58af65e0cc83f4f4412a09ddf74b6a2265128098c0e4cc6",
         ),
         (
-            ("named", "--name", "complete", "--n", "4"),
+            ("complete", "--n", "4"),
             {"n": 4, "m": 6, "regular": 3, "bridges": 0},
             "b04a7a0142382578a75ded1851d6f695796711b731243a23204043f8f6617ff9",
         ),
@@ -94,12 +94,12 @@ def sha256(text):
             "62b9362bd87cb1a8b68d1005f4a2d73fd7c6aeb54ec124b807b60871ed06beb3",
         ),
         (
-            ("sylvester", "--r", "1", "--k", "1"),
+            ("extremal", "--r", "1", "--k", "1", "--size-t", "1"),
             {"n": 10, "m": 15, "regular": 3, "bridges": 3},
             "8954b9715de47f5443d25787ce6be6b0b15165a92a992954c93f52d7e65e67f8",
         ),
         (
-            ("sylvester", "--r", "2", "--k", "1"),
+            ("extremal", "--r", "2", "--k", "1", "--size-t", "1"),
             {"n": 16, "m": 40, "regular": 5, "bridges": 5},
             "8a34d681cc9df5f451b3498adf2180898a50af4fb7fba09a40707f017443cf83",
         ),
@@ -119,7 +119,7 @@ def sha256(text):
             "8e531333f8bade6809b003c9093176975259ba6edf8bfab9e4a6a3c93e3fe018",
         ),
         (
-            ("named", "--name", "petersen"),
+            ("petersen",),
             {"n": 10, "m": 15, "regular": 3, "bridges": 0},
             "3e123476f05599d68782db0844bac0ee196c0a6839f12590b1ce262cfde5af26",
         ),
@@ -142,19 +142,19 @@ def test_generate_to_stdout_pinned(capsys, argv, summary, digest):
         # the first token picks the reader, whatever the file name's suffix says
         (
             "petersen.txt",
-            ("--name", "petersen", "--format", "graph6"),
+            ("petersen", "--format", "graph6"),
             (),
             "636e828a32eef25ba4fc07ba1ae964b85f0466c6a0bd6cba4aae0a0b02b994ee",
         ),
         (
             "k4.g6",
-            ("--name", "complete", "--n", "4"),
+            ("complete", "--n", "4"),
             (),
             "197776f3d7e8e87af05de7b5c6946614a390f322e9b0917417d5c024d24e4b66",
         ),
         (
             "petersen.g6",
-            ("--name", "petersen", "--format", "graph6"),
+            ("petersen", "--format", "graph6"),
             ("--oracle",),
             "818fbc766d516b61c8efc8881cca7bd0c74dadb018013b4b77b77bc1652a76f9",
         ),
@@ -163,7 +163,7 @@ def test_generate_to_stdout_pinned(capsys, argv, summary, digest):
 )
 def test_check_format_pinned(tmp_path, capsys, name, generate, check, digest):
     path = tmp_path / name
-    code, summary, _ = run_cli(capsys, "generate", "named", *generate, "--out", str(path))
+    code, summary, _ = run_cli(capsys, "generate", *generate, "--out", str(path))
     assert code == 0
     code, stdout, _ = run_cli(capsys, "check", "--input", str(path), "--k", "1", *check)
     assert code == 0
@@ -176,7 +176,7 @@ def test_check_format_pinned(tmp_path, capsys, name, generate, check, digest):
 def test_check_takes_no_format(tmp_path, capsys):
     # mgf and graph6 are told apart by the file's first token, so no flag picks the reader
     path = tmp_path / "petersen.g6"
-    run_cli(capsys, "generate", "named", "--name", "petersen", "--format", "graph6", "--out", str(path))
+    run_cli(capsys, "generate", "petersen", "--format", "graph6", "--out", str(path))
     with pytest.raises(SystemExit) as exc:
         main(["check", "--input", str(path), "--k", "1", "--format", "graph6"])
     captured = capsys.readouterr()
@@ -186,7 +186,7 @@ def test_check_takes_no_format(tmp_path, capsys):
 
 
 def test_generate_graph6_refuses_multigraph(capsys):
-    code, _, stderr = run_cli(capsys, "generate", "sylvester", "--r", "1", "--k", "1", "--format", "graph6")
+    code, _, stderr = run_cli(capsys, "generate", "extremal", "--r", "1", "--k", "1", "--size-t", "1", "--format", "graph6")
     assert code == 2
     assert "simple" in stderr
 
@@ -235,19 +235,37 @@ def test_check_k_below_1_exit_2(tmp_path, capsys, k):
 
 
 def test_generate_named_petersen_rejects_n(capsys):
-    code, stdout, stderr = run_cli(capsys, "generate", "named", "--name", "petersen", "--n", "7")
-    assert code == 2
-    assert stdout == ""
-    assert "--n does not apply to petersen" in stderr
+    # petersen has no --n to misuse, so argparse refuses it; complete and cycle default to 5
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "petersen", "--n", "7"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --n 7" in captured.err
     for name in ("cycle", "complete"):
-        code, _, stderr = run_cli(capsys, "generate", "named", "--name", name)
+        code, _, stderr = run_cli(capsys, "generate", name)
         assert code == 0
         assert json.loads(stderr)["n"] == 5
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("named", "--name", "petersen"), ("sylvester", "--r", "1", "--k", "1")],
+    ids=["named", "sylvester"],
+)
+def test_generate_has_one_route_per_graph(capsys, argv):
+    # each graph has its own subcommand; the one-hub graph is `extremal --size-t 1`
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", *argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"invalid choice: '{argv[0]}'" in captured.err
+
+
 def test_check_sylvester_witness(tmp_path, capsys):
     out = tmp_path / "syl.mgf"
-    run_cli(capsys, "generate", "sylvester", "--r", "1", "--k", "1", "--out", str(out))
+    run_cli(capsys, "generate", "extremal", "--r", "1", "--k", "1", "--size-t", "1", "--out", str(out))
     code, stdout, _ = run_cli(capsys, "check", "--input", str(out), "--k", "1", "--oracle")
     assert code == 0
     report = json.loads(stdout)
@@ -277,7 +295,7 @@ def test_check_parse_error_exit_2(tmp_path, capsys):
             ("generate", "extremal", "--r", "1", "--k", "1", "--size-t", "2", "--size-s", "1", "--blisters", "4"),
             "blister_count must be <= (2r+1)*size_s = 3, got 4",
         ),
-        (("generate", "named", "--name", "cycle", "--n", "2"), "cycle needs at least 3 vertices"),
+        (("generate", "cycle", "--n", "2"), "cycle needs at least 3 vertices"),
         (("check", "--input", "bad.mgf", "--k", "1"), "endpoints must be integers"),
     ],
     ids=["extremal-r0", "extremal-negative-blisters", "extremal-blister-overflow", "named-cycle-n2", "check-bad-endpoint"],
@@ -289,6 +307,20 @@ def test_outside_input_error_exit_2(tmp_path, monkeypatch, capsys, argv, message
     assert code == 2
     assert stdout == ""
     assert stderr.count(message) == 1
+
+
+def test_check_refuses_mgf_beyond_graph6_size(tmp_path, monkeypatch, capsys):
+    # a 16-byte header must not make the reader allocate an incidence list per claimed vertex
+    def no_graph(n):
+        raise AssertionError("a Multigraph was allocated")
+
+    path = tmp_path / "huge.mgf"
+    path.write_text("mgf 258048 0\n")
+    monkeypatch.setattr("regfactor.io.Multigraph", no_graph)
+    code, stdout, stderr = run_cli(capsys, "check", "--input", str(path), "--k", "1")
+    assert code == 2
+    assert stdout == ""
+    assert "n must be at most 258047, got 258048" in stderr
 
 
 def test_check_mgf_trailing_blank_lines(tmp_path, capsys):
@@ -374,7 +406,7 @@ def test_verify_output_determinism(capsys):
 
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["generate", "sylvester", "--r", "x", "--k", "1"])
+        main(["generate", "extremal", "--r", "x", "--k", "1", "--size-t", "1"])
     assert exc.value.code == 2
 
 

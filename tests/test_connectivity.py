@@ -5,7 +5,7 @@ from hypothesis import given
 
 import regfactor.connectivity
 from regfactor.connectivity import bridges, edge_connectivity, is_connected, vertex_connectivity
-from regfactor.generators import BswParams, bsw_graph, petersen_graph, sylvester_extremal
+from regfactor.generators import BswParams, ExtremalParams, bsw_graph, general_extremal, petersen_graph
 from regfactor.multigraph import Multigraph
 
 from helpers import (
@@ -25,7 +25,7 @@ def test_bridges_trivial(k4):
 
 
 def test_bridges_sylvester():
-    assert len(bridges(sylvester_extremal(1, 1))) == 3
+    assert len(bridges(general_extremal(ExtremalParams(1, 1, size_t=1)))) == 3
 
 
 @given(multigraphs(max_n=7, max_m=14))

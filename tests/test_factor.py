@@ -21,10 +21,11 @@ from regfactor.factor import (
 )
 from regfactor.generators import (
     BswParams,
+    ExtremalParams,
     bsw_graph,
     complete_graph,
+    general_extremal,
     random_regular_multigraph,
-    sylvester_extremal,
 )
 from regfactor.multigraph import Multigraph
 
@@ -148,7 +149,7 @@ def test_oracle_k4(k4):
 
 
 def test_oracle_sylvester_witness():
-    w = exhaustive_tutte_oracle(sylvester_extremal(1, 1), 2)
+    w = exhaustive_tutte_oracle(general_extremal(ExtremalParams(1, 1, size_t=1)), 2)
     assert w is not None
     assert w.S == ()
     assert len(w.T) == 1
@@ -231,7 +232,7 @@ def test_find_factor_k4(k4):
 
 
 def test_find_factor_sylvester_none():
-    assert find_factor(sylvester_extremal(1, 1), 2) is None
+    assert find_factor(general_extremal(ExtremalParams(1, 1, size_t=1)), 2) is None
 
 
 def test_find_factor_bsw_boundary():
@@ -282,7 +283,7 @@ def test_factor_degree_below_1_rejected(k4, call, ell):
 
 def test_has_2k_factor(k4):
     assert has_2k_factor(k4, 1)
-    assert not has_2k_factor(sylvester_extremal(1, 1), 1)
+    assert not has_2k_factor(general_extremal(ExtremalParams(1, 1, size_t=1)), 1)
     with pytest.raises(ValueError):
         has_2k_factor(k4, 0)
 
@@ -351,5 +352,5 @@ def test_even_cut_property():
 
 
 def test_witness_serialization():
-    w = exhaustive_tutte_oracle(sylvester_extremal(1, 1), 2)
+    w = exhaustive_tutte_oracle(general_extremal(ExtremalParams(1, 1, size_t=1)), 2)
     assert w.to_json() == {"S": [], "T": [0], "q": 3, "d": 3, "deficiency": 2}

@@ -19,12 +19,10 @@ from regfactor.generators import (
     general_extremal,
     general_extremal_with_partition,
     h_rt,
-    named_graphs,
     petersen_graph,
     random_connected_regular_multigraph,
     random_multigraph,
     random_regular_multigraph,
-    sylvester_extremal,
 )
 from regfactor.io import to_mgf
 from regfactor.multigraph import Multigraph
@@ -60,7 +58,7 @@ def test_deficiency_component_bad_params():
 
 
 def test_sylvester_1_1():
-    g = sylvester_extremal(1, 1)
+    g = general_extremal(ExtremalParams(1, 1, size_t=1))
     assert g.regular_degree() == 3
     assert len(bridges(g)) == 3
     assert g.degree(0) == 3  # the hub
@@ -72,7 +70,7 @@ def test_sylvester_1_1():
     [(1, 1, 3), (2, 1, 5), (3, 2, 4), (4, 3, 3)],
 )
 def test_sylvester_bridge_counts(r, k, expected_bridges):
-    g = sylvester_extremal(r, k)
+    g = general_extremal(ExtremalParams(r, k, size_t=1))
     assert g.regular_degree() == 2 * r + 1
     assert len(bridges(g)) == expected_bridges == 2 * r + 4 - 3 * k
     prof = t_odd_profile(g, (), {0})
@@ -83,7 +81,7 @@ def test_sylvester_bridge_counts(r, k, expected_bridges):
 
 def test_sylvester_bad_params():
     with pytest.raises(ValueError):
-        sylvester_extremal(1, 2)
+        general_extremal(ExtremalParams(1, 2, size_t=1))
 
 
 # -- blistering ------------------------------------------------------------------
@@ -123,11 +121,6 @@ def test_extremal_build_makes_no_patch_without_extra_components(monkeypatch):
 
 
 # -- general extremal family ------------------------------------------------------
-
-
-def test_general_extremal_specializes_to_sylvester():
-    params = ExtremalParams(1, 1, size_t=1, size_s=0)
-    assert general_extremal(params) == sylvester_extremal(1, 1)
 
 
 def test_general_extremal_figure1(figure1):
@@ -278,13 +271,6 @@ def test_complement_complete():
 def test_complement_rejects_multigraph():
     with pytest.raises(ValueError):
         complement(Multigraph.from_edges(2, [(0, 1), (0, 1)]))
-
-
-def test_named_catalog():
-    catalog = named_graphs()
-    assert catalog["petersen"]().regular_degree() == 3
-    assert catalog["complete"](5).m == 10
-    assert catalog["cycle"](6).m == 6
 
 
 def test_petersen_is_cubic():

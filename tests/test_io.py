@@ -43,6 +43,12 @@ def test_mgf_parse_errors_carry_line_numbers(text, line):
         assert "non-negative" in str(err.value)
 
 
+def test_mgf_reads_graph6s_largest_size():
+    # from_mgf refuses n > 258047, graph6's limit, but not n = 258047 itself
+    g = from_mgf("mgf 258047 0\n")
+    assert (g.n, g.m) == (258047, 0)
+
+
 def test_graph6_known_strings():
     assert to_graph6(complete_graph(4)) == "C~"
     assert to_graph6(cycle_graph(5)) == "Dhc"

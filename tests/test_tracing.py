@@ -57,7 +57,8 @@ def test_tracer_installs_and_restores(monkeypatch):
 
 def test_every_hook_reads_a_real_result(monkeypatch):
     tracing = _load(monkeypatch, "perfbench_tracing", PERFBENCH / "tracing.py")
-    g = regfactor.generators.sylvester_extremal(1, 1)  # 10 vertices, 3 cut-edges, no 2-factor
+    # the one-hub graph: 10 vertices, 3 cut-edges, no 2-factor
+    g = regfactor.generators.general_extremal(regfactor.generators.ExtremalParams(1, 1, size_t=1))
     cert = regfactor.verifier.characterization_check(g, 1, 1)
     gadget = regfactor.factor.build_factor_gadget(regfactor.generators.complete_graph(4), 2)[0]
     # hooked name -> (arguments of one real call, the caller the hook is told of)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ from regfactor.generators import (
     general_extremal_with_partition,
     petersen_graph,
     random_regular_multigraph,
-    sylvester_extremal,
 )
 from regfactor.multigraph import Multigraph
 from regfactor.verifier import (
@@ -54,7 +54,7 @@ def test_main_theorem_k4(k4):
 
 
 def test_main_theorem_sylvester_hypothesis_not_met():
-    rep = verify_main_theorem(sylvester_extremal(1, 1), 1, 1)
+    rep = verify_main_theorem(general_extremal(ExtremalParams(1, 1, size_t=1)), 1, 1)
     assert not rep.hypothesis_met  # 3 cut-edges > 2
     assert rep.passed  # no claim made
 
@@ -149,7 +149,7 @@ def test_equalities_overlap_rejected(k4):
 
 
 def test_characterization_sylvester():
-    cert = characterization_check(sylvester_extremal(1, 1), 1, 1)
+    cert = characterization_check(general_extremal(ExtremalParams(1, 1, size_t=1)), 1, 1)
     assert cert is not None
     assert cert.S == () and len(cert.T) == 1
     assert cert.all_conditions_hold and cert.all_equalities_hold
@@ -258,7 +258,7 @@ def test_orient_bridges_matches_naive(g):
 
 
 def test_orient_bridges_fixed_cases():
-    g = sylvester_extremal(1, 1)
+    g = general_extremal(ExtremalParams(1, 1, size_t=1))
     cut = bridges(g)
     (hub,) = set.intersection(*(set(g.edge(eid)) for eid in cut))
     assert _orient_bridges(g, cut) == {hub}
@@ -382,7 +382,7 @@ def test_run_tasks_parallel_matches_serial(tasks):
 def test_battery_verify_lines_pinned():
     # every battery cell's `verify` JSON line, millis removed: charzn over
     # RK_PAIRS, bsw over RT_PAIRS, then five main trials per RK_PAIRS cell at
-    # seed 0.  The hash is the sha256 of the lines joined by newlines.
+    # seed 0, byte for byte and in order as tests/data/battery_verify_lines.jsonl
     tasks = [task for r, k in RK_PAIRS for task in charzn_sweep_tasks(r, k)]
     tasks += [task for r, t in RT_PAIRS for task in bsw_sweep_tasks(r, t)]
     tasks += [task for r, k in RK_PAIRS for task in main_sweep_tasks(r, k, 5, 0)]
@@ -391,9 +391,13 @@ def test_battery_verify_lines_pinned():
         data = rep.to_json()
         data.pop("millis")
         lines.append(json.dumps(data))
-    assert len(lines) == 122
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "d2b2c1428a2e887f299ad26f7be7e4b901182185b8191e622500ef4c83be3848"
+    expected = (Path(__file__).parent / "data" / "battery_verify_lines.jsonl").read_text().splitlines()
+    got = {json.loads(line)["instance"]: line for line in lines}
+    want = {json.loads(line)["instance"]: line for line in expected}
+    assert len(got) == len(lines) and len(want) == len(expected)  # one line per instance
+    moved = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
+    assert not moved, f"lines changed, appeared or disappeared: {moved}"
+    assert lines == expected and len(lines) == 122  # and in the same order
 
 
 def test_run_task_owns_the_clock(k4):
