@@ -21,7 +21,9 @@ Two independent routes are provided and cross-checked in the test suite:
   far; ties go to the lexicographically smallest (S,T), so the witness does
   not depend on the search order;
 * ``find_factor`` — constructs a factor via the standard degree-gadget
-  reduction to perfect matching, reading it off the matching's mate array.
+  reduction to perfect matching (Tutte 1954), reading it off the matching's
+  mate array.  The gadget is built straight as the blossom search's
+  read-only adjacency lists, in gadget edge-id order, not as a Multigraph.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .matching import adjacency_lists, maximum_matching_adjacency
+from .matching import maximum_matching_adjacency
 from .multigraph import Multigraph
 
 # The oracle's scan is 3^n, so it refuses graphs above this many vertices.
@@ -307,16 +309,33 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def build_factor_gadget(g: Multigraph, ell: int) -> tuple[Multigraph, list[int]]:
+@dataclass(frozen=True)
+class FactorGadget:
+    """The degree gadget as the blossom search reads it: ``adj[x]`` lists node
+    x's neighbours in gadget edge-id order, as ``matching.adjacency_lists``
+    would, and ``ends[e]`` holds the two external nodes that carry g's edge e.
+    Nodes share lists, so none may be mutated."""
+
+    n: int
+    m: int
+    adj: list[list[int]]
+    ends: list[tuple[int, int]]
+
+
+def build_factor_gadget(g: Multigraph, ell: int) -> tuple[FactorGadget, list[int]]:
     """Reduce ℓ-factor existence to perfect matching.
 
     Returns ``(gadget, start)``.  Vertex v's external nodes, one per
     edge-endpoint incidence (a loop yields two), are ``start[v] .. start[v]
     + deg(v) - 1``; its ``deg(v) - ℓ`` internal nodes follow, up to
     ``start[v + 1]``, each joined to all of v's external nodes.  Gadget edge
-    e is g's edge e for e < g.m, joining one external node of each end, so the
-    gadget is simple, as the blossom matching needs.  It has a perfect matching
-    iff g has an ℓ-factor, whose edges are the e < g.m that the matching uses.
+    e is g's edge e for e < g.m, joining one external node of each end; the
+    internal–external edges follow by v, internal node, external node.  So
+    an external node's list is its g-edge partner, then v's internal nodes,
+    and v's internal nodes share one list of v's external nodes.  No list
+    repeats a node or holds its own: the gadget is simple, as the blossom
+    matching needs.  It has a perfect matching iff g has an ℓ-factor, whose
+    edges are the e < g.m that the matching uses.
     """
     if ell < 1:
         raise ValueError(f"factor degree must be >= 1, got {ell}")
@@ -328,26 +347,33 @@ def build_factor_gadget(g: Multigraph, ell: int) -> tuple[Multigraph, list[int]]
     start = [0]
     for d in degs:
         start.append(start[-1] + 2 * d - ell)
-    gadget = Multigraph(start[-1])
+    partner = [0] * start[-1]
 
     slot = start[:-1]
+    ends = []
     for _, u, v in g.edges():
         a = slot[u]
         slot[u] += 1
         b = slot[v]
         slot[v] += 1
-        gadget.add_edge(a, b)
+        partner[a] = b
+        partner[b] = a
+        ends.append((a, b))
+    adj: list[list[int]] = []
+    m = g.m
     for v in range(g.n):
         ext = range(start[v], start[v] + degs[v])
-        for i in range(ext.stop, start[v + 1]):
-            for x in ext:
-                gadget.add_edge(i, x)
-    return gadget, start
+        inner = list(range(ext.stop, start[v + 1]))
+        adj.extend([partner[x], *inner] for x in ext)
+        adj.extend([list(ext)] * len(inner))
+        m += len(ext) * len(inner)
+    return FactorGadget(start[-1], m, adj, ends), start
 
 
 def find_factor(g: Multigraph, ell: int) -> FactorResult | None:
     """An ℓ-factor of g if one exists, else None.  Gadget edge e < g.m is g's
-    edge e, so the factor is read off the mate array in id order."""
+    edge e, so the factor is read off the mate array at the gadget's ``ends``,
+    in id order."""
     if ell < 1:
         raise ValueError(f"factor degree must be >= 1, got {ell}")
     if any(g.degree(v) < ell for v in range(g.n)):
@@ -355,11 +381,10 @@ def find_factor(g: Multigraph, ell: int) -> FactorResult | None:
     if (ell * g.n) % 2 == 1:
         return None
     gadget, _ = build_factor_gadget(g, ell)
-    mate, _ = maximum_matching_adjacency(gadget.n, adjacency_lists(gadget))
+    mate, _ = maximum_matching_adjacency(gadget.n, gadget.adj)
     if -1 in mate:  # an exposed node: no perfect matching, so no factor
         return None
-    ends = map(gadget.edge, range(g.m))
-    result = FactorResult(tuple(e for e, (a, b) in enumerate(ends) if mate[a] == b), ell)
+    result = FactorResult(tuple(e for e, (a, b) in enumerate(gadget.ends) if mate[a] == b), ell)
     result.validate(g)
     return result
 
@@ -374,9 +399,8 @@ def gadget_witness(g: Multigraph, ell: int) -> tuple[set[int], set[int]]:
     (Tutte 1954).  The pair need not violate the criterion; callers re-check it.
     """
     gadget, start = build_factor_gadget(g, ell)
-    adj = adjacency_lists(gadget)
-    in_d = set(maximum_matching_adjacency(gadget.n, adj)[1])
-    in_a = {w for x in in_d for w in adj[x]} - in_d
+    in_d = set(maximum_matching_adjacency(gadget.n, gadget.adj)[1])
+    in_a = {w for x in in_d for w in gadget.adj[x]} - in_d
     s, t = set(), set()
     for v in range(g.n):
         ext = range(start[v], start[v] + g.degree(v))

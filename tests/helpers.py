@@ -7,13 +7,15 @@ check.
 
 from __future__ import annotations
 
+import json
 import random
 from collections import deque
 from itertools import combinations, product
+from pathlib import Path
 
 from hypothesis import strategies as st
 
-from regfactor.factor import TutteWitness, build_factor_gadget, q_count, tutte_deficiency
+from regfactor.factor import TutteWitness, q_count, tutte_deficiency
 from regfactor.generators import BswParams, bsw_graph, random_connected_regular_multigraph
 from regfactor.matching import max_matching
 from regfactor.multigraph import Multigraph
@@ -436,27 +438,73 @@ def factor_degrees(g: Multigraph, edge_ids) -> list[int]:
     return deg
 
 
+def reference_gadget(g: Multigraph, ell: int) -> tuple[Multigraph, list[int]]:
+    """The degree gadget as a ``Multigraph``, one ``add_edge`` per gadget edge:
+    g's edges first, each joining the next free external node of each end,
+    then every internal node of v joined to each of v's external nodes.
+    ``build_factor_gadget`` must give the same ``start``, ``n`` and ``m``, and
+    ``adjacency_lists`` of this graph as its ``adj``."""
+    if ell < 1:
+        raise ValueError(f"factor degree must be >= 1, got {ell}")
+    degs = [g.degree(v) for v in range(g.n)]
+    short = [v for v, d in enumerate(degs) if d < ell]
+    if short:
+        raise ValueError(f"no {ell}-factor: vertex {short[0]} has degree {degs[short[0]]}")
+
+    start = [0]
+    for d in degs:
+        start.append(start[-1] + 2 * d - ell)
+    gadget = Multigraph(start[-1])
+
+    slot = start[:-1]
+    for _, u, v in g.edges():
+        a = slot[u]
+        slot[u] += 1
+        b = slot[v]
+        slot[v] += 1
+        gadget.add_edge(a, b)
+    for v in range(g.n):
+        ext = range(start[v], start[v] + degs[v])
+        for i in range(ext.stop, start[v + 1]):
+            for x in ext:
+                gadget.add_edge(i, x)
+    return gadget, start
+
+
 def gadget_factor_reference(g: Multigraph, ell: int) -> tuple[int, ...] | None:
-    """The factor by matching the degree gadget through ``max_matching``:
+    """The factor by matching the reference gadget through ``max_matching``:
     the matched edge ids below g.m, sorted, or None when the gadget cannot be
     built (a vertex of degree < ℓ) or its matching leaves a node exposed."""
     if any(g.degree(v) < ell for v in range(g.n)):
         return None
-    gadget, _ = build_factor_gadget(g, ell)
+    gadget, _ = reference_gadget(g, ell)
     matched = max_matching(gadget)
     if 2 * len(matched) < gadget.n:
         return None
     return tuple(sorted(e for e in matched if e < g.m))
 
 
+def assert_lines_pinned(lines: list[str], data_file: str, key: str) -> None:
+    """Compare JSON lines byte for byte and in order with tests/data/<data_file>,
+    first naming every ``key`` whose line changed, appeared or disappeared."""
+    expected = (Path(__file__).parent / "data" / data_file).read_text().splitlines()
+    got = {json.loads(line)[key]: line for line in lines}
+    want = {json.loads(line)[key]: line for line in expected}
+    assert len(got) == len(lines) and len(want) == len(expected)  # one line per key
+    moved = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
+    assert not moved, f"lines changed, appeared or disappeared: {moved}"
+    assert lines == expected  # and in the same order
+
+
 def pinned_hosts():
-    """(g, ℓ) for the battery's hosts at n = 30: five seed-0 guarantee graphs
-    per (r, k) cell with ℓ = 2k, then each sharpness host with every ℓ = 2k,
-    k = 1..r; 47 in all."""
+    """(label, g, ℓ) for the battery's hosts at n = 30: five seed-0 guarantee
+    graphs per (r, k) cell with ℓ = 2k, then each sharpness host with every
+    ℓ = 2k, k = 1..r; 47 in all, labelled as the battery names its instances."""
     for r, k in RK_PAIRS:
         for _, a in main_sweep_tasks(r, k, 5, 0, (30,)):
-            yield random_connected_regular_multigraph(a["n"], 2 * r + 1, a["seed"]), 2 * k
+            g = random_connected_regular_multigraph(a["n"], 2 * r + 1, a["seed"])
+            yield f"main-r{r}-k{k}-n{a['n']}-i{a['index']}", g, 2 * k
     for r, t in RT_PAIRS:
         host = bsw_graph(BswParams(r, t))
         for k in range(1, r + 1):
-            yield host, 2 * k
+            yield f"bsw-r{r}-t{t}-k{k}", host, 2 * k

@@ -31,7 +31,6 @@ from regfactor.generators import (
 from regfactor.verifier import (
     RK_PAIRS,
     characterization_check,
-    check_extremal_equalities,
     main_sweep_tasks,
     run_tasks,
     verify_bsw,

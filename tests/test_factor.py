@@ -1,10 +1,9 @@
-import hashlib
 import itertools
 import json
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from regfactor.connectivity import bridges
@@ -27,9 +26,11 @@ from regfactor.generators import (
     general_extremal,
     random_regular_multigraph,
 )
+from regfactor.matching import adjacency_lists
 from regfactor.multigraph import Multigraph
 
 from helpers import (
+    assert_lines_pinned,
     disjoint_pairs,
     factor_degrees,
     gadget_factor_reference,
@@ -37,6 +38,7 @@ from helpers import (
     naive_component_counts,
     naive_oracle,
     pinned_hosts,
+    reference_gadget,
 )
 
 
@@ -173,11 +175,18 @@ def test_oracle_includes_empty_pair():
 # -- gadget reduction --------------------------------------------------------------
 
 
+def _assert_simple(adj):
+    # the blossom search needs a simple graph: no list repeats a node or holds its own
+    for x, nbrs in enumerate(adj):
+        assert len(set(nbrs)) == len(nbrs) and x not in nbrs, (x, nbrs)
+
+
 def test_gadget_k4_node_count(k4):
     gadget, start = build_factor_gadget(k4, 2)
-    assert gadget.n == 16  # 3 externals + 1 internal per vertex
+    assert gadget.n == 16 == len(gadget.adj)  # 3 externals + 1 internal per vertex
+    assert gadget.m == 6 + 4 * 3  # k4's edges, then each internal node to 3 externals
     assert start == [0, 4, 8, 12, 16]
-    assert gadget.is_simple()
+    _assert_simple(gadget.adj)
 
 
 def test_gadget_layout_contract():
@@ -188,22 +197,26 @@ def test_gadget_layout_contract():
     assert start == [0, 5, 8, 13, 16]
     ext = [range(start[v], start[v] + g.degree(v)) for v in range(g.n)]
     owner = {x: v for v in range(g.n) for x in ext[v]}
+    assert len(gadget.ends) == g.m
     for eid, u, v in g.edges():
-        a, b = gadget.edge(eid)
+        a, b = gadget.ends[eid]
         assert a != b and sorted((owner.get(a), owner.get(b))) == [u, v]
+        assert gadget.adj[a][0] == b and gadget.adj[b][0] == a
     # every external node carries exactly one of g's edges, so a loop takes two
-    ends = sorted(x for eid in range(g.m) for x in gadget.edge(eid))
+    ends = sorted(x for pair in gadget.ends for x in pair)
     assert ends == sorted(owner)
     for v in range(g.n):
         for i in range(ext[v].stop, start[v + 1]):
-            nbrs = sorted(x for eid in gadget.incident(i) for x in gadget.edge(eid) if x != i)
-            assert nbrs == list(ext[v])
+            assert gadget.adj[i] == list(ext[v])
+        for x in ext[v]:
+            assert gadget.adj[x][1:] == list(range(ext[v].stop, start[v + 1]))
 
 
 def test_gadget_loop_vertex():
     g = Multigraph.from_edges(1, [(0, 0)])
     gadget, _ = build_factor_gadget(g, 2)
     assert gadget.n == 2 and gadget.m == 1
+    assert gadget.adj == [[1], [0]] and gadget.ends == [(0, 1)]  # the loop's two ends, each the other's partner
     factor = find_factor(g, 2)
     assert factor is not None and factor.edge_ids == (0,)
 
@@ -220,6 +233,31 @@ def test_gadget_size_formula_regular(r, seed):
     for k in range(1, (d + 1) // 2):
         gadget, _ = build_factor_gadget(g, 2 * k)
         assert gadget.n == d * 6 + (d - 2 * k) * 6
+        assert gadget.m == g.m + 6 * d * (d - 2 * k)
+
+
+@st.composite
+def gadget_hosts(draw):
+    # ℓ runs up to the minimum degree, so some vertex may have degree exactly ℓ
+    g = draw(multigraphs(max_n=7, max_m=20))
+    low = min(g.degree(v) for v in range(g.n))
+    assume(low >= 1)
+    return g, draw(st.integers(1, low))
+
+
+@given(gadget_hosts())
+@example((Multigraph.from_edges(4, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2), (2, 3), (3, 3)]), 3))
+@example((Multigraph.from_edges(1, [(0, 0)]), 2))
+@settings(max_examples=150)
+def test_gadget_matches_reference(host):
+    g, ell = host
+    gadget, start = build_factor_gadget(g, ell)
+    reference, ref_start = reference_gadget(g, ell)
+    assert start == ref_start
+    assert (gadget.n, gadget.m) == (reference.n, reference.m)
+    assert gadget.adj == adjacency_lists(reference)
+    assert gadget.ends == [reference.edge(e) for e in range(g.m)]
+    _assert_simple(gadget.adj)
 
 
 # -- constructive solver ------------------------------------------------------------
@@ -252,22 +290,22 @@ def test_find_factor_empty_graph():
 @example(complete_graph(5), 3)
 @settings(max_examples=150)
 def test_find_factor_matches_gadget_reference(g, ell):
-    # the gadget is simple by construction, so the mate array read-off agrees
-    # with matching it through max_matching, which checks simplicity
-    if all(g.degree(v) >= ell for v in range(g.n)):
-        assert build_factor_gadget(g, ell)[0].is_simple()
+    # the reference gadget goes through max_matching, which checks that it is
+    # simple, and turns the mate array into edge ids
     factor = find_factor(g, ell)
     assert (None if factor is None else factor.edge_ids) == gadget_factor_reference(g, ell)
 
 
 def test_find_factor_output_pinned():
-    # the perfbench digests pin the factors; this holds them here too.  The
-    # hash is the sha256 of the JSON list of edge ids (null for no factor),
-    # host by host, on the hosts whose gadgets test_matching_output_pinned pins.
-    factors = [None if (f := find_factor(g, ell)) is None else list(f.edge_ids) for g, ell in pinned_hosts()]
-    assert len(factors) == 47 and factors.count(None) == 4
-    digest = hashlib.sha256(json.dumps(factors).encode()).hexdigest()
-    assert digest == "c847dec91c33f93ad4f778c4e00cca0919e70e842b1ef7fbca28ec301287f7d1"
+    # the perfbench digests pin the factors; this holds them here too, host by
+    # host as tests/data/find_factor_factors.jsonl (edge ids, null for no
+    # factor), on the hosts whose gadgets test_matching_output_pinned pins.
+    lines = [
+        json.dumps({"host": label, "factor": None if (f := find_factor(g, ell)) is None else list(f.edge_ids)})
+        for label, g, ell in pinned_hosts()
+    ]
+    assert_lines_pinned(lines, "find_factor_factors.jsonl", "host")
+    assert len(lines) == 47 and sum(json.loads(line)["factor"] is None for line in lines) == 4
 
 
 @pytest.mark.parametrize(

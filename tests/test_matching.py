@@ -16,6 +16,7 @@ from helpers import (
     factor_degrees,
     pinned_hosts,
     reference_blossom_mates,
+    reference_gadget,
     simple_graphs,
 )
 
@@ -121,12 +122,20 @@ def test_nested_blossoms_then_failed_search():
 # array, not only the same size.  The search order (id-ordered seeding and
 # relabelling, FIFO queue) decides which maximum matching comes out.  The hash
 # is the sha256 of the JSON list of sorted(max_matching(gadget)), gadget by
-# gadget; max_matching turns the mate array into edge ids.  tests/test_factor.py
-# pins the factors read off these gadgets.
+# gadget, on the reference Multigraph gadget; max_matching turns the mate array
+# into edge ids.  build_factor_gadget's adjacency lists must equal the
+# reference's, so the search runs the same on both.  tests/test_factor.py pins
+# the factors read off these gadgets.
+
+
+def _reference_matching(g, ell):
+    reference = reference_gadget(g, ell)[0]
+    assert build_factor_gadget(g, ell)[0].adj == adjacency_lists(reference)
+    return sorted(max_matching(reference))
 
 
 def test_matching_output_pinned():
-    matchings = [sorted(max_matching(build_factor_gadget(g, ell)[0])) for g, ell in pinned_hosts()]
+    matchings = [_reference_matching(g, ell) for _, g, ell in pinned_hosts()]
     assert len(matchings) == 47
     digest = hashlib.sha256(json.dumps(matchings).encode()).hexdigest()
     assert digest == "1272c7c723f17a297d1351605d99c998576a08635c3e50ca54776c7ef0972b1f"
@@ -140,7 +149,7 @@ def test_large_gadget_matching_output_pinned():
         for _, a in main_sweep_tasks(r, k, 7, 0, (30,) * 5 + (80, 240)):
             if a["n"] != 30:
                 g = random_connected_regular_multigraph(a["n"], 2 * r + 1, a["seed"])
-                matchings.append(sorted(max_matching(build_factor_gadget(g, 2 * k)[0])))
+                matchings.append(_reference_matching(g, 2 * k))
     assert len(matchings) == 14
     digest = hashlib.sha256(json.dumps(matchings).encode()).hexdigest()
     assert digest == "e8cd93763501a84a3a65d7277baab5a11cea23842959bddaf99b2c9c3cdf8c39"

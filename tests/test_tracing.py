@@ -13,6 +13,8 @@ from types import ModuleType
 import regfactor
 from regfactor.verifier import RK_PAIRS, RT_PAIRS
 
+from helpers import reference_gadget
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -60,7 +62,8 @@ def test_every_hook_reads_a_real_result(monkeypatch):
     # the one-hub graph: 10 vertices, 3 cut-edges, no 2-factor
     g = regfactor.generators.general_extremal(regfactor.generators.ExtremalParams(1, 1, size_t=1))
     cert = regfactor.verifier.characterization_check(g, 1, 1)
-    gadget = regfactor.factor.build_factor_gadget(regfactor.generators.complete_graph(4), 2)[0]
+    # max_matching takes a simple Multigraph; build_factor_gadget returns adjacency lists
+    gadget = reference_gadget(regfactor.generators.complete_graph(4), 2)[0]
     # hooked name -> (arguments of one real call, the caller the hook is told of)
     calls = {
         "max_matching": ((gadget,), None),

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +16,6 @@ from regfactor.generators import (
     complete_graph,
     extremal_parameter_grid,
     general_extremal,
-    general_extremal_with_partition,
     petersen_graph,
     random_regular_multigraph,
 )
@@ -41,7 +39,7 @@ from regfactor.verifier import (
     verify_main_theorem,
 )
 
-from helpers import bridged_blocks, multigraphs, naive_bridge_orientation, naive_conditions
+from helpers import assert_lines_pinned, bridged_blocks, multigraphs, naive_bridge_orientation, naive_conditions
 
 
 # -- guarantee -------------------------------------------------------------------
@@ -391,13 +389,8 @@ def test_battery_verify_lines_pinned():
         data = rep.to_json()
         data.pop("millis")
         lines.append(json.dumps(data))
-    expected = (Path(__file__).parent / "data" / "battery_verify_lines.jsonl").read_text().splitlines()
-    got = {json.loads(line)["instance"]: line for line in lines}
-    want = {json.loads(line)["instance"]: line for line in expected}
-    assert len(got) == len(lines) and len(want) == len(expected)  # one line per instance
-    moved = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
-    assert not moved, f"lines changed, appeared or disappeared: {moved}"
-    assert lines == expected and len(lines) == 122  # and in the same order
+    assert_lines_pinned(lines, "battery_verify_lines.jsonl", "instance")
+    assert len(lines) == 122
 
 
 def test_run_task_owns_the_clock(k4):
