@@ -15,6 +15,7 @@ Examples:
   regfactor verify main --r 2 --k 1 --trials 200 --seed 1
   regfactor verify charzn --r 1 --k 1
   regfactor verify bsw --r 2 --t 1 --k 2
+  regfactor verify battery --trials 20 --seed 1 --jobs 2
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .generators import (
     random_regular_multigraph,
 )
 from .verifier import (
+    battery_tasks,
     bsw_sweep_tasks,
     charzn_sweep_tasks,
     main_sweep_tasks,
@@ -198,6 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
+    add_jobs(p)
+
+    p = ver_sub.add_parser("battery", help="all three claims at every (r, k) and (r, t) cell")
+    p.set_defaults(tasks=lambda a: battery_tasks(a.trials, a.seed))
+    p.add_argument("--trials", type=int, default=200, help="main tasks per (r, k) cell")
+    p.add_argument("--seed", type=int, default=0)
     add_jobs(p)
 
     return parser

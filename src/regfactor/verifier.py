@@ -466,6 +466,14 @@ def bsw_sweep_tasks(r: int, t: int, k: int | None = None) -> list[tuple]:
     return [("bsw", {"r": r, "t": t, "k": kk}) for kk in ks]
 
 
+def battery_tasks(trials: int, seed: int) -> list[tuple]:
+    """All three claims at every battery cell: charzn over ``RK_PAIRS``, bsw
+    over ``RT_PAIRS``, then ``trials`` main tasks per ``RK_PAIRS`` cell."""
+    tasks = [task for r, k in RK_PAIRS for task in charzn_sweep_tasks(r, k)]
+    tasks += [task for r, t in RT_PAIRS for task in bsw_sweep_tasks(r, t)]
+    return tasks + [task for r, k in RK_PAIRS for task in main_sweep_tasks(r, k, trials, seed)]
+
+
 def run_task(task: tuple) -> VerificationReport:
     """Build the task's graph, run its verifier, and time both into ``millis``."""
     kind, a = task

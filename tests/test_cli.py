@@ -416,6 +416,7 @@ def test_usage_error_exit_2(capsys):
         # the ids stay the ones these cases had when verify parity filled argv1 and argv3
         pytest.param(("main", "--r", "1", "--k", "1", "--trials", "-1"), id="argv0"),
         pytest.param(("main", "--r", "1", "--k", "1", "--trials", "0"), id="argv2"),
+        pytest.param(("battery", "--trials", "0"), id="battery"),
     ],
 )
 def test_verify_negative_trials_exit_2(capsys, argv):
@@ -477,16 +478,6 @@ def test_verify_bsw_rejects_k_outside_1_to_r(capsys, k):
     assert code == 2
     assert stdout == ""
     assert "need 1 <= k <= r" in stderr
-
-
-@pytest.mark.parametrize("script", ["run_verification.py"])
-def test_scripts_run_from_plain_checkout(script, tmp_path):
-    # no install and no PYTHONPATH: the script must find the checkout's src/ itself
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
-    path = Path(__file__).resolve().parent.parent / "scripts" / script
-    proc = subprocess.run([sys.executable, str(path), "--help"], cwd=tmp_path, env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("usage:")
 
 
 def test_python_m_regfactor_runs(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regfactor import verifier
+from regfactor import cli, verifier
 from regfactor.connectivity import bridges
 from regfactor.factor import TutteWitness, has_2k_factor
 from regfactor.generators import (
@@ -22,7 +22,6 @@ from regfactor.generators import (
 from regfactor.multigraph import Multigraph
 from regfactor.verifier import (
     RK_PAIRS,
-    RT_PAIRS,
     _orient_bridges,
     bsw_sweep_tasks,
     characterization_check,
@@ -377,16 +376,13 @@ def test_run_tasks_parallel_matches_serial(tasks):
     assert serial == parallel
 
 
-def test_battery_verify_lines_pinned():
-    # every battery cell's `verify` JSON line, millis removed: charzn over
-    # RK_PAIRS, bsw over RT_PAIRS, then five main trials per RK_PAIRS cell at
-    # seed 0, byte for byte and in order as tests/data/battery_verify_lines.jsonl
-    tasks = [task for r, k in RK_PAIRS for task in charzn_sweep_tasks(r, k)]
-    tasks += [task for r, t in RT_PAIRS for task in bsw_sweep_tasks(r, t)]
-    tasks += [task for r, k in RK_PAIRS for task in main_sweep_tasks(r, k, 5, 0)]
+def test_battery_verify_lines_pinned(capsys):
+    # every battery cell's `verify` JSON line, millis removed, five main trials
+    # per cell at seed 0: byte for byte and in order as tests/data/battery_verify_lines.jsonl
+    assert cli.main(["verify", "battery", "--trials", "5", "--seed", "0"]) == 0
     lines = []
-    for rep in run_tasks(tasks):
-        data = rep.to_json()
+    for line in capsys.readouterr().out.splitlines():
+        data = json.loads(line)
         data.pop("millis")
         lines.append(json.dumps(data))
     assert_lines_pinned(lines, "battery_verify_lines.jsonl", "instance")
