@@ -17,9 +17,10 @@ Two independent routes are provided and cross-checked in the test suite:
 * ``exhaustive_tutte_oracle`` — evaluates the criterion over all 3^n
   disjoint (S,T) pairs and returns a maximum-deficiency witness if any
   pair violates it.  For each union S∪T it places the members in S or T
-  depth first, cutting every branch whose exact bound is below the best so
-  far; ties go to the lexicographically smallest (S,T), so the witness does
-  not depend on the search order;
+  depth first, largest T-gain first, cutting every branch whose exact bound
+  is below the best so far or whose pairs lose to moving one member into
+  the rest (dominance); ties are never cut and go to the lexicographically
+  smallest (S,T), so the witness does not depend on the search order;
 * ``find_factor`` — constructs a factor via the standard degree-gadget
   reduction to perfect matching (Tutte 1954), reading it off the matching's
   mate array.  The gadget is built straight as the blossom search's
@@ -187,17 +188,28 @@ def exhaustive_tutte_oracle(g: Multigraph, ell: int) -> TutteWitness | None:
     Returns the maximum-deficiency witness whose ``(S, T)`` tuple is
     lexicographically smallest, or None when no pair violates the criterion
     (i.e. an ℓ-factor exists).  For each union U = S∪T the components of the
-    rest are labelled once; a depth-first search then puts U's members in S
-    or T in id order, updating q and d by v's terms alone as v joins T.  With
-    members j.. undecided it cuts the branch when ``popcount(odd | sflip[j])
-    + slack + sgain[j]``, rounded down to the parity of ℓn, is below the best
-    deficiency so far.  That bounds every completion: a component that no
-    undecided member flips keeps its parity; v joining T changes slack by
-    ``-step[v] - 2·e(v, T) <= max(0, -step[v])``; and every deficiency is
-    ≡ ℓn (mod 2) (Lovász 1970: q ≡ e(T, R) + ℓ|R| and d ≡ e(T, R), R the
-    rest).  At a leaf the bound is the deficiency, and a pair that ties the
-    running best is never cut, so the witness does not depend on the search
-    order.  The scan is 3^n, so graphs above ``ORACLE_CAP`` vertices are refused.
+    rest R are labelled once; a depth-first search then puts U's members in S
+    or T, updating q and d by v's terms alone as v joins T.  With members j..
+    undecided it cuts the branch when ``popcount(odd | sflip[j]) + slack +
+    sgain[j]``, rounded down to the parity of ℓn, is below the best so far;
+    U is skipped when that holds at its root with every component odd and
+    no T cap.  That bounds every completion: a component no undecided member
+    flips keeps its parity; v joining T changes slack by ``-step[v] - 2·e(v,
+    T) <= max(0, -step[v])``; every deficiency is ≡ ℓn (mod 2) (Lovász 1970).
+
+    Dominance cuts: moving v into R merges the a(v) components of G[R] that
+    v touches, so q falls by at most a(v).  From T, d falls by deg_{G-S}(v) =
+    e(v, R) + e(v, T) + 2·loops(v) and ℓ|T| by ℓ, so the deficiency rises by
+    at least deg_{G-S}(v) - ℓ - a(v); from S, d rises by e(v, T) and ℓ|S|
+    falls by ℓ, so it rises by at least ℓ - e(v, T) - a(v).  By parity a rise
+    of 1 is one of 2, so in a maximum pair both bounds are <= 0.  So v joins T
+    only while ``e(v, T so far) <= tcap = ℓ + a(v) - e(v, R) - 2·loops(v)``
+    (if tcap < 0 it never does, and adds nothing to sflip and sgain), and v
+    in S ends its branch when ``e(v, T ∪ later T candidates) < ℓ - a(v)``.
+    A cut pair is strictly beaten, so no tie with the witness is cut.  Order:
+    ascending ``step`` (largest T-gain first), then id; leaves compare (S, T)
+    lexicographically, so the witness does not depend on it.  The scan is
+    3^n, so graphs above ``ORACLE_CAP`` vertices are refused.
     """
     if ell < 1:
         raise ValueError(f"factor degree must be >= 1, got {ell}")
@@ -207,8 +219,10 @@ def exhaustive_tutte_oracle(g: Multigraph, ell: int) -> TutteWitness | None:
 
     loops = [0] * n
     plain: list[tuple[int, int]] = []
-    # layers[j][v]: the neighbours joined to v by more than j parallel edges
+    # layers[j][v]: the neighbours joined to v by more than j parallel
+    # edges; oddnbr[v]: those joined to v by an odd number
     layers = [[0] * n]
+    oddnbr = [0] * n
     for _, u, v in g.edges():
         if u == v:
             loops[u] += 1
@@ -219,6 +233,8 @@ def exhaustive_tutte_oracle(g: Multigraph, ell: int) -> TutteWitness | None:
             layers.append([0] * n)
         layers[j][u] |= 1 << v
         layers[j][v] |= 1 << u
+        oddnbr[u] ^= 1 << v
+        oddnbr[v] ^= 1 << u
     nbr, deeper = layers[0], layers[1:]
     full = (1 << n) - 1
     parity = ell * n & 1
@@ -229,9 +245,8 @@ def exhaustive_tutte_oracle(g: Multigraph, ell: int) -> TutteWitness | None:
         rest = full & ~union
         # label the components of the graph minus `union`; `odd` marks
         # those with cross(Q, T) + ℓ|Q| odd while T = ∅
-        comp_of = [-1] * n
+        comps = []
         odd = 0
-        idx = 0
         remaining = rest
         while remaining:
             bit = remaining & -remaining
@@ -246,50 +261,71 @@ def exhaustive_tutte_oracle(g: Multigraph, ell: int) -> TutteWitness | None:
                     nxt |= nbr[b.bit_length() - 1]
                 frontier = nxt & rest & ~seen
                 seen |= frontier
-            odd |= (ell * seen.bit_count() & 1) << idx
-            cm = seen
-            while cm:
-                b = cm & -cm
-                cm ^= b
-                comp_of[b.bit_length() - 1] = idx
-            idx += 1
+            odd |= (ell * seen.bit_count() & 1) << len(comps)
+            comps.append(seen)
             remaining &= ~seen
 
-        # flip[v]: the components whose parity flips as v enters or leaves
-        # T; step[v]: v's edges into the rest + 2·loops - 2ℓ
-        flip = [0] * n
-        step = [2 * (loops[v] - ell) for v in range(n)]
-        for u, v in plain:
-            if union >> u & 1:
-                if not union >> v & 1:
-                    flip[u] ^= 1 << comp_of[v]
-                    step[u] += 1
-            elif union >> v & 1:
-                flip[v] ^= 1 << comp_of[u]
-                step[v] += 1
+        order = []  # (step, v, e(v, R)), step = e(v, R) + 2·loops(v) - 2ℓ
+        gain = 0
+        um = union
+        while um:
+            bv = um & -um
+            um ^= bv
+            v = bv.bit_length() - 1
+            e_r = (nbr[v] & rest).bit_count()
+            for layer in deeper:
+                e_r += (layer[v] & rest).bit_count()
+            step = e_r + 2 * (loops[v] - ell)
+            gain += -step if step < 0 else 0
+            order.append((step, v, e_r))
+        m = len(order)
+        bound = len(comps) - ell * m + gain
+        if bound - ((bound ^ parity) & 1) < best_def:
+            continue
+        order.sort()
 
-        # slack = -d - ℓ(|S| - |T|); members j.. can flip only the
-        # components in sflip[j] and raise slack by at most sgain[j]
-        members = _bits(union)
-        m = len(members)
-        sflip, sgain = [0] * (m + 1), [0] * (m + 1)
-        for j in range(m - 1, -1, -1):
-            v = members[j]
-            sflip[j] = sflip[j + 1] | flip[v]
-            sgain[j] = sgain[j + 1] + max(0, -step[v])
-        stack = [(0, odd, 0, -ell * m)]
+        # rows[j - 1], j members undecided: sflip, sgain, those that may join T;
+        # the next one's step, id, flip (the components it flips), tcap, S need
+        rows = []
+        sf = sg = later = 0
+        for step, v, e_r in reversed(order):
+            a_v = flp = 0
+            r_v = nbr[v] & rest
+            for i, cm in enumerate(comps):
+                if not r_v:
+                    break
+                if r_v & cm:
+                    a_v += 1
+                    if (oddnbr[v] & cm).bit_count() & 1:
+                        flp |= 1 << i
+                    r_v &= ~cm
+            tcap = ell + a_v - e_r - 2 * loops[v]
+            if tcap >= 0:
+                sf |= flp
+                sg += -step if step < 0 else 0
+                later |= 1 << v
+            rows.append((sf, sg, later, step, v, flp, tcap, ell - a_v))
+        stack = [(m, odd, 0, -ell * m)]  # slack = -d - ℓ(|S| - |T|)
         while stack:
             j, odd, t_mask, slack = stack.pop()
-            while j < m:  # member j joins S here; its T branch waits on the stack
-                bound = (odd | sflip[j]).bit_count() + slack + sgain[j]
+            while j:  # the next member joins S here; its T branch waits on the stack
+                j -= 1
+                sf, sg, later, step, v, flp, tcap, sneed = rows[j]
+                bound = (odd | sf).bit_count() + slack + sg
                 if bound - ((bound ^ parity) & 1) < best_def:
                     break
-                v = members[j]
                 c = (nbr[v] & t_mask).bit_count()
                 for layer in deeper:
                     c += (layer[v] & t_mask).bit_count()
-                j += 1
-                stack.append((j, odd ^ flip[v], t_mask | 1 << v, slack - step[v] - 2 * c))
+                if c <= tcap:
+                    stack.append((j, odd ^ flp, t_mask | 1 << v, slack - step - 2 * c))
+                if sneed > 0:
+                    reach = t_mask | later
+                    c = (nbr[v] & reach).bit_count()
+                    for layer in deeper:
+                        c += (layer[v] & reach).bit_count()
+                    if c < sneed:
+                        break
             else:
                 deficiency = odd.bit_count() + slack
                 if deficiency >= best_def:
@@ -381,8 +417,8 @@ def find_factor(g: Multigraph, ell: int) -> FactorResult | None:
     if (ell * g.n) % 2 == 1:
         return None
     gadget, _ = build_factor_gadget(g, ell)
-    mate, _ = maximum_matching_adjacency(gadget.n, gadget.adj)
-    if -1 in mate:  # an exposed node: no perfect matching, so no factor
+    mate, _ = maximum_matching_adjacency(gadget.n, gadget.adj, stop_at_failure=True)
+    if -1 in mate:  # a failed search: no perfect matching, so no factor
         return None
     result = FactorResult(tuple(e for e, (a, b) in enumerate(gadget.ends) if mate[a] == b), ell)
     result.validate(g)

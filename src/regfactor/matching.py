@@ -48,10 +48,14 @@ def adjacency_lists(g: Multigraph) -> list[list[int]]:
     return adj
 
 
-def maximum_matching_adjacency(n: int, adj: list[list[int]]) -> tuple[list[int], list[int]]:
+def maximum_matching_adjacency(
+    n: int, adj: list[list[int]], stop_at_failure: bool = False
+) -> tuple[list[int], list[int]]:
     """Blossom matching on adjacency lists; returns the mate array (-1 =
     exposed) and the failed searches' outer nodes, which make up D, each
-    once (a later search can walk through an earlier failed tree again)."""
+    once (a later search can walk through an earlier failed tree again).
+    ``stop_at_failure`` returns at the first failed search, which proves no
+    perfect matching; the mate array is then not maximum, the outer list partial."""
     match = [-1] * n
     for v in range(n):  # greedy seed keeps augmentation phases rare
         if match[v] == -1:
@@ -139,6 +143,6 @@ def maximum_matching_adjacency(n: int, adj: list[list[int]]) -> tuple[list[int],
                 members[v] = [v]
 
     for v in range(n):
-        if match[v] == -1:
-            find_path(v)
+        if match[v] == -1 and not find_path(v) and stop_at_failure:
+            break
     return match, list(dict.fromkeys(outer))

@@ -349,6 +349,37 @@ def test_oracle_matches_naive_scan(g, ell):
     assert exhaustive_tutte_oracle(g, ell) == naive_oracle(g, ell)
 
 
+@given(multigraphs(max_n=6), st.integers(1, 6))
+@settings(max_examples=300)
+def test_maximum_pairs_admit_no_single_move(g, ell):
+    # The lemma behind the oracle's dominance cuts, checked apart from the
+    # oracle: with R the rest and a(v) the components of G[R] that v
+    # touches, moving v from T to R raises the deficiency by at least
+    # deg_{G-S}(v) - ℓ - a(v), and from S to R by at least ℓ - e(v, T) - a(v).
+    # Deficiencies share the parity of ℓn, so neither bound is >= 1 at any
+    # pair of maximum deficiency.
+    scored = {}
+    for roles in itertools.product(range(3), repeat=g.n):
+        s = tuple(v for v, role in enumerate(roles) if role == 1)
+        t = tuple(v for v, role in enumerate(roles) if role == 2)
+        scored[s, t] = tutte_deficiency(g, ell, s, t)
+    top = max(scored.values())
+    for (s, t), deficiency in scored.items():
+        if deficiency < top:
+            continue
+        comps = g.components(exclude=set(s) | set(t))
+        for v in s + t:
+            ends = [b for _, a, b in g.edges() if a == v] + [a for _, a, b in g.edges() if b == v]
+            loops = ends.count(v) // 2
+            e_r = sum(1 for x in ends if x != v and x not in s and x not in t)
+            e_t = sum(1 for x in ends if x != v and x in t)
+            touch = sum(1 for comp in comps if set(comp) & set(ends))
+            if v in t:
+                assert e_r + e_t + 2 * loops - ell - touch <= 0, (s, t, v)
+            else:
+                assert ell - e_t - touch <= 0, (s, t, v)
+
+
 def test_oracle_tie_break_is_not_search_order():
     # the bowtie (two triangles sharing vertex 2) has nine pairs of maximum
     # deficiency 2 for ℓ = 2; the search scores S = (2,), T = (0, 3) first,

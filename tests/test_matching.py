@@ -69,8 +69,16 @@ def test_mates_match_reference(graph):
     # Past the brute-force range: the whole mate array, not only its size,
     # must equal the fresh-state search's.  Searches share one set of state
     # arrays, so a search that leaves an entry set misleads the next one.
+    # Stopping at the first failed search changes nothing while no search
+    # fails, and otherwise leaves a node exposed.
     n, adj = graph
-    assert maximum_matching_adjacency(n, adj)[0] == reference_blossom_mates(n, adj)
+    mates = maximum_matching_adjacency(n, adj)[0]
+    assert mates == reference_blossom_mates(n, adj)
+    early = maximum_matching_adjacency(n, adj, stop_at_failure=True)[0]
+    if -1 in mates:
+        assert -1 in early
+    else:
+        assert early == mates
 
 
 def gallai_edmonds_d(g: Multigraph) -> set[int]:

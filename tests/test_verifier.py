@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from regfactor import cli, verifier
 from regfactor.connectivity import bridges
-from regfactor.factor import TutteWitness, has_2k_factor
+from regfactor.factor import TutteWitness, exhaustive_tutte_oracle, has_2k_factor
 from regfactor.generators import (
     BswParams,
     ExtremalParams,
@@ -156,6 +156,26 @@ def test_characterization_figure1(figure1):
     g, _, _ = figure1
     cert = characterization_check(g, 1, 1)  # n=18, beyond the oracle cap
     assert cert is not None
+    assert cert.all_conditions_hold and cert.all_equalities_hold
+
+
+def test_characterization_hand_example_r4_k3():
+    # ROADMAP item 13's hand example, in the (4, 3) cell that no sampler
+    # reaches: a hub; three leaves with 4 loops and one edge to the hub; two
+    # vertices with 3 loops and a triple edge to the hub.  9-regular, 3
+    # cut-edges, no 6-factor; its loops and triple edges reach the oracle's
+    # loop and parallel-edge terms.
+    edges = []
+    for leaf in (1, 2, 3):
+        edges += [(leaf, leaf)] * 4 + [(0, leaf)]
+    for v in (4, 5):
+        edges += [(v, v)] * 3 + [(0, v)] * 3
+    g = Multigraph.from_edges(6, edges)
+    assert g.regular_degree() == 9 and len(bridges(g)) == 3
+    assert not has_2k_factor(g, 3)
+    assert exhaustive_tutte_oracle(g, 6) == TutteWitness((), (0,), 5, 9, 2)
+    cert = characterization_check(g, 4, 3)
+    assert (cert.R, cert.S, cert.T) == ((1, 2, 3, 4, 5), (), (0,))
     assert cert.all_conditions_hold and cert.all_equalities_hold
 
 
