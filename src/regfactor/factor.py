@@ -30,7 +30,7 @@ Two independent routes are provided and cross-checked in the test suite:
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .matching import maximum_matching_adjacency
 from .multigraph import Multigraph
@@ -54,13 +54,7 @@ class TutteWitness:
     deficiency: int
 
     def to_json(self) -> dict:
-        return {
-            "S": list(self.S),
-            "T": list(self.T),
-            "q": self.q,
-            "d": self.d,
-            "deficiency": self.deficiency,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -86,10 +80,6 @@ class OddComponentProfile:
             q3=sum(1 for x, _ in pairs if x % 2 == 1 and x > 1),
         )
 
-    @property
-    def q(self) -> int:
-        return self.q1 + self.q2 + self.q3
-
 
 @dataclass(frozen=True)
 class FactorResult:
@@ -98,17 +88,12 @@ class FactorResult:
     edge_ids: tuple[int, ...]
     ell: int
 
-    def factor_degrees(self, g: Multigraph) -> list[int]:
-        deg = [0] * g.n
-        for eid in self.edge_ids:
-            u, v = g.edge(eid)
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
     def validate(self, g: Multigraph) -> None:
         """Raise unless every vertex has degree exactly ℓ in the factor."""
-        deg = self.factor_degrees(g)
+        deg = [0] * g.n
+        for eid in self.edge_ids:
+            for v in g.edge(eid):  # a loop's vertex twice
+                deg[v] += 1
         bad = [v for v, d in enumerate(deg) if d != self.ell]
         if bad:
             raise ValueError(f"not a {self.ell}-factor: wrong degree at vertices {bad[:5]}")
@@ -348,14 +333,17 @@ def _bits(mask: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class FactorGadget:
     """The degree gadget as the blossom search reads it: ``adj[x]`` lists node
-    x's neighbours in gadget edge-id order, as ``matching.adjacency_lists``
-    would, and ``ends[e]`` holds the two external nodes that carry g's edge e.
+    x's neighbours in gadget edge-id order, ``m`` counts the gadget's edges,
+    and ``ends[e]`` holds the two external nodes that carry g's edge e.
     Nodes share lists, so none may be mutated."""
 
-    n: int
     m: int
     adj: list[list[int]]
     ends: list[tuple[int, int]]
+
+    @property
+    def n(self) -> int:
+        return len(self.adj)
 
 
 def build_factor_gadget(g: Multigraph, ell: int) -> tuple[FactorGadget, list[int]]:
@@ -403,7 +391,7 @@ def build_factor_gadget(g: Multigraph, ell: int) -> tuple[FactorGadget, list[int
         adj.extend([partner[x], *inner] for x in ext)
         adj.extend([list(ext)] * len(inner))
         m += len(ext) * len(inner)
-    return FactorGadget(start[-1], m, adj, ends), start
+    return FactorGadget(m, adj, ends), start
 
 
 def find_factor(g: Multigraph, ell: int) -> FactorResult | None:
@@ -417,7 +405,7 @@ def find_factor(g: Multigraph, ell: int) -> FactorResult | None:
     if (ell * g.n) % 2 == 1:
         return None
     gadget, _ = build_factor_gadget(g, ell)
-    mate, _ = maximum_matching_adjacency(gadget.n, gadget.adj, stop_at_failure=True)
+    mate, _ = maximum_matching_adjacency(gadget.adj, stop_at_failure=True)
     if -1 in mate:  # a failed search: no perfect matching, so no factor
         return None
     result = FactorResult(tuple(e for e, (a, b) in enumerate(gadget.ends) if mate[a] == b), ell)
@@ -435,7 +423,7 @@ def gadget_witness(g: Multigraph, ell: int) -> tuple[set[int], set[int]]:
     (Tutte 1954).  The pair need not violate the criterion; callers re-check it.
     """
     gadget, start = build_factor_gadget(g, ell)
-    in_d = set(maximum_matching_adjacency(gadget.n, gadget.adj)[1])
+    in_d = set(maximum_matching_adjacency(gadget.adj)[1])
     in_a = {w for x in in_d for w in gadget.adj[x]} - in_d
     s, t = set(), set()
     for v in range(g.n):

@@ -14,10 +14,12 @@ from math import isqrt
 
 from .multigraph import Multigraph
 
-_MAX_N = 258047  # the most vertices graph6 can encode; from_mgf refuses more too
+_MAX_N = 258047  # the most vertices graph6 can encode; the mgf reader and writer refuse more too
 
 
 def to_mgf(g: Multigraph) -> str:
+    if g.n > _MAX_N:  # from_mgf would refuse the text
+        raise ValueError(f"mgf export supports at most {_MAX_N} vertices, got {g.n}")
     lines = [f"mgf {g.n} {g.m}"]
     lines.extend(f"{u} {v}" for _, u, v in g.edges())
     return "\n".join(lines) + "\n"

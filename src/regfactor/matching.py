@@ -35,27 +35,23 @@ def max_matching(g: Multigraph) -> set[int]:
     """A maximum matching of a simple graph, as a set of edge ids."""
     if not g.is_simple():
         raise ValueError("maximum matching requires a simple graph")
-    match, _ = maximum_matching_adjacency(g.n, adjacency_lists(g))
-    return {eid for eid, u, v in g.edges() if match[u] == v}
-
-
-def adjacency_lists(g: Multigraph) -> list[list[int]]:
-    """Each vertex's neighbours in edge-id order, the order the search scans."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
+    adj: list[list[int]] = [[] for _ in range(g.n)]  # neighbours in edge-id order
     for _, u, v in g.edges():
         adj[u].append(v)
         adj[v].append(u)
-    return adj
+    match, _ = maximum_matching_adjacency(adj)
+    return {eid for eid, u, v in g.edges() if match[u] == v}
 
 
 def maximum_matching_adjacency(
-    n: int, adj: list[list[int]], stop_at_failure: bool = False
+    adj: list[list[int]], stop_at_failure: bool = False
 ) -> tuple[list[int], list[int]]:
     """Blossom matching on adjacency lists; returns the mate array (-1 =
     exposed) and the failed searches' outer nodes, which make up D, each
     once (a later search can walk through an earlier failed tree again).
     ``stop_at_failure`` returns at the first failed search, which proves no
     perfect matching; the mate array is then not maximum, the outer list partial."""
+    n = len(adj)
     match = [-1] * n
     for v in range(n):  # greedy seed keeps augmentation phases rare
         if match[v] == -1:

@@ -79,13 +79,7 @@ class PartitionCertificate:
         return all(self.equalities)
 
     def to_json(self) -> dict:
-        return {
-            "R": list(self.R),
-            "S": list(self.S),
-            "T": list(self.T),
-            "conditions": dict(self.conditions),
-            "equalities": list(self.equalities),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -277,7 +271,7 @@ def characterization_check(g: Multigraph, r: int, k: int) -> PartitionCertificat
 # -- single-instance verifications ---------------------------------------------
 
 
-def verify_main_theorem(g: Multigraph, r: int, k: int, instance: str = "") -> VerificationReport:
+def verify_main_theorem(g: Multigraph, r: int, k: int, instance: str) -> VerificationReport:
     """Check the cut-edge guarantee on one (2r+1)-regular multigraph.
 
     When the graph has at most 2r-3(k-1) cut-edges the report passes iff a
@@ -296,7 +290,7 @@ def verify_main_theorem(g: Multigraph, r: int, k: int, instance: str = "") -> Ve
     if hypothesis and factor is None and g.n <= ORACLE_CAP:
         witness = exhaustive_tutte_oracle(g, 2 * k)
     return VerificationReport(
-        instance=instance or f"main-r{r}-k{k}-n{g.n}",
+        instance=instance,
         r=r,
         k=k,
         p=p,
@@ -331,7 +325,7 @@ def verify_bsw(params: BswParams, k: int) -> VerificationReport:
     if factor is not None:
         # each copy is tied to the hub by a (2t+1)-edge cut, so an even
         # factor can use at most 2t of those edges
-        crossings = _hub_crossings(g, factor, r, t)
+        crossings = _hub_crossings(g, factor, 2 * t + 1)
         details["copyCrossings"] = crossings
         crossings_ok = all(c % 2 == 0 and c <= 2 * t for c in crossings)
     else:
@@ -349,17 +343,15 @@ def verify_bsw(params: BswParams, k: int) -> VerificationReport:
     )
 
 
-def _hub_crossings(g: Multigraph, factor: FactorResult, r: int, t: int) -> list[int]:
-    hub = 2 * t + 1
-    block = 2 * r + 3
-    chosen = set(factor.edge_ids)
-    counts = [0] * (2 * r + 1)
-    for eid, u, v in g.edges():
-        if eid not in chosen:
-            continue
-        lo, hi = min(u, v), max(u, v)
-        if lo < hub <= hi:
-            counts[(hi - hub) // block] += 1
+def _hub_crossings(g: Multigraph, factor: FactorResult, hub: int) -> list[int]:
+    """The factor's edges from the hub, vertices 0..hub-1, to each component of
+    G - hub, in ``component_edge_counts`` order: by least vertex, so copy by copy."""
+    comps, label, _, _, _ = component_edge_counts(g, (), range(hub))
+    counts = [0] * len(comps)
+    for eid in factor.edge_ids:
+        lo, hi = sorted(label[x] for x in g.edge(eid))
+        if lo < 0:  # a hub end; the hub is independent, so `hi` labels a copy
+            counts[hi] += 1
     return counts
 
 

@@ -438,6 +438,15 @@ def factor_degrees(g: Multigraph, edge_ids) -> list[int]:
     return deg
 
 
+def adjacency_lists(g: Multigraph) -> list[list[int]]:
+    """Each vertex's neighbours in edge-id order, the order the blossom search scans."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for _, u, v in g.edges():
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 def reference_gadget(g: Multigraph, ell: int) -> tuple[Multigraph, list[int]]:
     """The degree gadget as a ``Multigraph``, one ``add_edge`` per gadget edge:
     g's edges first, each joining the next free external node of each end,

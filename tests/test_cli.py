@@ -323,6 +323,16 @@ def test_check_refuses_mgf_beyond_graph6_size(tmp_path, monkeypatch, capsys):
     assert "n must be at most 258047, got 258048" in stderr
 
 
+def test_generate_refuses_mgf_beyond_graph6_size(tmp_path, capsys):
+    # check would refuse the file, so generate writes none
+    path = tmp_path / "huge.mgf"
+    code, stdout, stderr = run_cli(capsys, "generate", "cycle", "--n", "258048", "--out", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert "at most 258047 vertices, got 258048" in stderr
+    assert not path.exists()
+
+
 def test_check_mgf_trailing_blank_lines(tmp_path, capsys):
     path = tmp_path / "k4.mgf"
     path.write_text("mgf 4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n\n\n")

@@ -26,10 +26,10 @@ from regfactor.generators import (
     general_extremal,
     random_regular_multigraph,
 )
-from regfactor.matching import adjacency_lists
 from regfactor.multigraph import Multigraph
 
 from helpers import (
+    adjacency_lists,
     assert_lines_pinned,
     disjoint_pairs,
     factor_degrees,
@@ -54,7 +54,7 @@ def test_profile_figure1(figure1):
     g, s, t = figure1
     prof = t_odd_profile(g, s, t)
     assert (prof.q1, prof.q2, prof.q3) == (3, 1, 1)
-    assert prof.q == 5
+    assert prof.q1 + prof.q2 + prof.q3 == 5
 
 
 def test_profile_overlap_rejected(k4):
@@ -71,7 +71,7 @@ def test_profile_inequalities(data):
     assert prof.q1 + prof.q2 + 3 * prof.q3 <= d
     assert prof.q1 <= len(bridges(g))
     assert prof.q2 <= g.cross_edge_count(r, s)
-    assert prof.q == q_count(g, 2, s, t)
+    assert prof.q1 + prof.q2 + prof.q3 == q_count(g, 2, s, t)
 
 
 @given(disjoint_pairs())
@@ -345,6 +345,11 @@ def test_oracle_solver_agreement(g, ell):
 
 
 @given(multigraphs(max_n=7, max_m=12), st.integers(1, 6))
+# one instance per dominance cut: an S need one too tight, an S need without
+# a(v) (the star, ℓ = 1), and a strict T cap or a union skip at a tie (the loop)
+@example(Multigraph.from_edges(5, [(2, 3), (2, 3), (2, 4), (2, 2), (0, 2), (0, 1), (1, 4)]), 2)
+@example(Multigraph.from_edges(4, [(2, 3), (1, 2), (0, 2)]), 1)
+@example(Multigraph.from_edges(2, [(0, 0)]), 2)
 def test_oracle_matches_naive_scan(g, ell):
     assert exhaustive_tutte_oracle(g, ell) == naive_oracle(g, ell)
 
@@ -422,4 +427,4 @@ def test_even_cut_property():
 
 def test_witness_serialization():
     w = exhaustive_tutte_oracle(general_extremal(ExtremalParams(1, 1, size_t=1)), 2)
-    assert w.to_json() == {"S": [], "T": [0], "q": 3, "d": 3, "deficiency": 2}
+    assert json.loads(json.dumps(w.to_json())) == {"S": [], "T": [0], "q": 3, "d": 3, "deficiency": 2}

@@ -44,9 +44,15 @@ def test_mgf_parse_errors_carry_line_numbers(text, line):
 
 
 def test_mgf_reads_graph6s_largest_size():
-    # from_mgf refuses n > 258047, graph6's limit, but not n = 258047 itself
+    # from_mgf and to_mgf refuse n > 258047, graph6's limit, but not n = 258047 itself
     g = from_mgf("mgf 258047 0\n")
     assert (g.n, g.m) == (258047, 0)
+    assert to_mgf(g) == "mgf 258047 0\n"
+
+
+def test_mgf_writer_refuses_what_the_reader_refuses():
+    with pytest.raises(ValueError, match="at most 258047 vertices, got 258048"):
+        to_mgf(Multigraph(258_048))
 
 
 def test_graph6_known_strings():

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 
 from regfactor.factor import build_factor_gadget
 from regfactor.generators import complete_graph, petersen_graph, random_connected_regular_multigraph
-from regfactor.matching import adjacency_lists, max_matching, maximum_matching_adjacency
+from regfactor.matching import max_matching, maximum_matching_adjacency
 from regfactor.multigraph import Multigraph
 from regfactor.verifier import RK_PAIRS, main_sweep_tasks
 
 from helpers import (
+    adjacency_lists,
     blossom_graphs,
     brute_max_matching_size,
     factor_degrees,
@@ -72,9 +73,9 @@ def test_mates_match_reference(graph):
     # Stopping at the first failed search changes nothing while no search
     # fails, and otherwise leaves a node exposed.
     n, adj = graph
-    mates = maximum_matching_adjacency(n, adj)[0]
+    mates = maximum_matching_adjacency(adj)[0]
     assert mates == reference_blossom_mates(n, adj)
-    early = maximum_matching_adjacency(n, adj, stop_at_failure=True)[0]
+    early = maximum_matching_adjacency(adj, stop_at_failure=True)[0]
     if -1 in mates:
         assert -1 in early
     else:
@@ -96,7 +97,7 @@ def gallai_edmonds_d(g: Multigraph) -> set[int]:
 @settings(max_examples=200)
 @given(simple_graphs(max_n=10))
 def test_outer_nodes_are_gallai_edmonds_d(g):
-    _, outer = maximum_matching_adjacency(g.n, adjacency_lists(g))
+    _, outer = maximum_matching_adjacency(adjacency_lists(g))
     assert set(outer) == gallai_edmonds_d(g)
 
 
@@ -116,7 +117,7 @@ def test_nested_blossoms_then_failed_search():
         + [(13, 21), (17, 19), (11, 20), (14, 23), (17, 24), (19, 22)],
     )
     adj = adjacency_lists(g)
-    mates, outer = maximum_matching_adjacency(g.n, adj)
+    mates, outer = maximum_matching_adjacency(adj)
     assert mates == reference_blossom_mates(g.n, adj)
     assert set(outer) == gallai_edmonds_d(g)
     # the second component's later failed search walks an earlier failed tree again

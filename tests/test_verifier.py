@@ -22,6 +22,7 @@ from regfactor.generators import (
 from regfactor.multigraph import Multigraph
 from regfactor.verifier import (
     RK_PAIRS,
+    RT_PAIRS,
     _orient_bridges,
     bsw_sweep_tasks,
     characterization_check,
@@ -45,22 +46,22 @@ from helpers import assert_lines_pinned, bridged_blocks, multigraphs, naive_brid
 
 
 def test_main_theorem_k4(k4):
-    rep = verify_main_theorem(k4, 1, 1)
+    rep = verify_main_theorem(k4, 1, 1, "k4")
     assert rep.hypothesis_met and rep.factor_found and rep.passed
     assert rep.p == 0
 
 
 def test_main_theorem_sylvester_hypothesis_not_met():
-    rep = verify_main_theorem(general_extremal(ExtremalParams(1, 1, size_t=1)), 1, 1)
+    rep = verify_main_theorem(general_extremal(ExtremalParams(1, 1, size_t=1)), 1, 1, "sylvester")
     assert not rep.hypothesis_met  # 3 cut-edges > 2
     assert rep.passed  # no claim made
 
 
 def test_main_theorem_rejects_irregular(k4):
     with pytest.raises(ValueError, match="regular"):
-        verify_main_theorem(Multigraph.from_edges(3, [(0, 1)]), 1, 1)
+        verify_main_theorem(Multigraph.from_edges(3, [(0, 1)]), 1, 1, "irregular")
     with pytest.raises(ValueError, match="k must"):
-        verify_main_theorem(k4, 1, 2)
+        verify_main_theorem(k4, 1, 2, "k4")
 
 
 def test_main_theorem_small_batch():
@@ -307,13 +308,19 @@ def test_bsw_no_4_factor():
     assert rep.details["hubEdgesNeeded"] > rep.details["hubEdgeCapacity"]
 
 
-def test_bsw_2_factor_exists():
-    rep = verify_bsw(BswParams(2, 1), k=1)
+@pytest.mark.parametrize("r, t", [*RT_PAIRS, (4, 3), (5, 2)])
+def test_bsw_2_factor_exists(r, t):
+    # the sweep's first k is the factor side of the boundary.  Each of the
+    # 2r+1 copies is tied to the hub by a (2t+1)-edge cut, which an even
+    # factor crosses an even number of times, at most 2t; the hub is
+    # independent, so each of its 2k(2t+1) factor edges crosses to a copy
+    (_, a), _ = bsw_sweep_tasks(r, t)
+    rep = verify_bsw(BswParams(r, t), a["k"])
     assert rep.passed and rep.factor_found
     crossings = rep.details["copyCrossings"]
-    assert len(crossings) == 5
-    assert all(c % 2 == 0 and c <= 2 for c in crossings)
-    assert sum(crossings) == 2 * 1 * 3  # all hub edges in the factor cross to copies
+    assert len(crossings) == 2 * r + 1
+    assert all(c % 2 == 0 and c <= 2 * t for c in crossings)
+    assert sum(crossings) == rep.details["hubEdgesNeeded"]
 
 
 def test_bsw_r3_no_6_factor():
@@ -373,7 +380,7 @@ def test_main_theorem_failure_carries_oracle_witness(k4, monkeypatch):
     witness = TutteWitness(S=(), T=(0,), q=3, d=3, deficiency=2)
     monkeypatch.setattr(verifier, "find_factor", lambda g, ell: None)
     monkeypatch.setattr(verifier, "exhaustive_tutte_oracle", lambda g, ell: witness)
-    rep = verify_main_theorem(k4, 1, 1)
+    rep = verify_main_theorem(k4, 1, 1, "k4")
     assert rep.hypothesis_met and not rep.factor_found
     assert rep.passed is False
     assert rep.witness == witness
@@ -417,7 +424,7 @@ def test_run_task_owns_the_clock(k4):
     ]
     assert [kind for kind, _ in tasks] == ["main", "extremal", "control", "bsw"]
     assert all(run_task(task).millis > 0 for task in tasks)
-    assert verify_main_theorem(k4, 1, 1).millis == 0.0
+    assert verify_main_theorem(k4, 1, 1, "k4").millis == 0.0
 
 
 def test_run_tasks_starts_no_more_workers_than_tasks(monkeypatch):
