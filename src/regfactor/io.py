@@ -40,6 +40,8 @@ def from_mgf(text: str) -> Multigraph:
         raise ValueError("mgf parse error (line 1): n and m must be non-negative")
     if n > _MAX_N:  # checked before Multigraph(n) allocates n incidence lists
         raise ValueError(f"mgf parse error (line 1): n must be at most {_MAX_N}, got {n}")
+    if n == 0 and m > 0:  # no endpoint could be in range 0..n-1
+        raise ValueError("mgf parse error (line 1): the graph has no vertices, so no edge line can be read")
     body = [ln for ln in lines[1:]]
     # Tolerate trailing blank lines only.
     while body and not body[-1].strip():

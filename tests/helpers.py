@@ -251,26 +251,47 @@ def naive_oracle(g: Multigraph, ell: int) -> TutteWitness | None:
     return TutteWitness(s, t, q_count(g, ell, s, t), g.degree_sum_minus(s, t), -neg_deficiency)
 
 
-def brute_vertex_connectivity(g: Multigraph) -> int:
-    """Smallest C with G - C disconnected, by size-ordered subset search;
-    n - 1 when no such C exists (complete graphs)."""
+def _reached(adj: list[set[int]], rest: set[int], start: int) -> set[int]:
+    """The vertices of `rest` that a walk from `start` within `rest` reaches."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()] & rest - seen:
+            seen.add(w)
+            stack.append(w)
+    return seen
+
+
+def _neighbour_sets(g: Multigraph) -> list[set[int]]:
     adj: list[set[int]] = [set() for _ in range(g.n)]
     for _, u, v in g.edges():
         adj[u].add(v)
         adj[v].add(u)
+    return adj
+
+
+def brute_vertex_connectivity(g: Multigraph) -> int:
+    """Smallest C with G - C disconnected, by size-ordered subset search;
+    n - 1 when no such C exists (complete graphs)."""
+    adj = _neighbour_sets(g)
     for size in range(g.n - 1):
         for cut in combinations(range(g.n), size):
             rest = set(range(g.n)) - set(cut)
-            start = min(rest)
-            seen = {start}
-            stack = [start]
-            while stack:
-                for w in adj[stack.pop()] & rest - seen:
-                    seen.add(w)
-                    stack.append(w)
-            if seen != rest:
+            if _reached(adj, rest, min(rest)) != rest:
                 return size
     return g.n - 1
+
+
+def brute_separator(g: Multigraph, s: int, t: int) -> int:
+    """Fewest vertices other than s and t whose removal leaves no s-t path,
+    by size-ordered subset search; s and t must not be adjacent."""
+    adj = _neighbour_sets(g)
+    others = [v for v in range(g.n) if v not in (s, t)]
+    for size in range(len(others) + 1):
+        for cut in combinations(others, size):
+            if t not in _reached(adj, set(range(g.n)) - set(cut), s):
+                return size
+    raise ValueError("s and t are adjacent")
 
 
 def brute_edge_connectivity(g: Multigraph) -> int:

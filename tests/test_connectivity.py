@@ -1,15 +1,23 @@
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given
 
 import regfactor.connectivity
-from regfactor.connectivity import bridges, edge_connectivity, is_connected, vertex_connectivity
+from regfactor.connectivity import (
+    _max_flow,
+    _split_network,
+    bridges,
+    edge_connectivity,
+    is_connected,
+    vertex_connectivity,
+)
 from regfactor.generators import BswParams, ExtremalParams, bsw_graph, general_extremal, petersen_graph
 from regfactor.multigraph import Multigraph
 
 from helpers import (
     brute_edge_connectivity,
+    brute_separator,
     brute_vertex_connectivity,
     multigraphs,
     naive_bridges,
@@ -95,9 +103,10 @@ def test_vertex_connectivity_rejects_in_order(g, message):
 
 
 def test_vertex_connectivity_bsw():
-    # exact values pinned by details.vertexConnectivity in verify_bsw reports
-    for (r, t), kappa in {(2, 1): 3, (3, 1): 3, (3, 2): 5, (4, 1): 3}.items():
-        assert vertex_connectivity(bsw_graph(BswParams(r, t))) == kappa
+    # every clique-block host with 1 <= t < r <= 5 is (2t+1)-connected, as the
+    # paper's sharpness claim needs; verify_bsw reports it as details.vertexConnectivity
+    for r, t in [(r, t) for r in range(2, 6) for t in range(1, r)]:
+        assert vertex_connectivity(bsw_graph(BswParams(r, t))) == 2 * t + 1, (r, t)
 
 
 def test_vertex_connectivity_flows_run_on_bsw_hosts(monkeypatch):
@@ -125,6 +134,31 @@ def test_vertex_connectivity_cut_vertex_of_minimum_degree():
     edges = [(0, 1), (0, 2), (0, 6), (0, 7)]
     edges += list(combinations(range(1, 6), 2)) + list(combinations(range(6, 11), 2))
     assert vertex_connectivity(Multigraph.from_edges(11, edges)) == 1
+
+
+@given(multigraphs(max_n=8, allow_loops=False))
+def test_every_pair_flow_is_its_minimum_separator(g):
+    # every non-adjacent pair in both directions, not only the minimum over
+    # the pairs vertex_connectivity runs, so a wrong flow cannot hide behind it
+    adj, network = _split_network(g)
+    for s, t in permutations(range(g.n), 2):
+        if t not in adj[s]:
+            assert _max_flow(network, 2 * s + 1, 2 * t, g.n) == brute_separator(g, s, t), (s, t)
+
+
+def test_flow_through_a_vertex_is_cancelled_then_rerouted():
+    # the shortest path 0-1-2-3-4 goes first; the next one, 0-5-6-7-3-(2)-1-8-9-10-4,
+    # must cancel the flow through 2, and the last, 0-11-...-15-2-16-...-20-4, must
+    # pass through 2 again, so 2's in-node has to be given back its one successor
+    # (and its bulk bit); the detours are long enough that no tie decides the order
+    def path(*vs):
+        return list(zip(vs, vs[1:]))
+
+    edges = path(0, 1, 2, 3, 4) + path(0, 5, 6, 7, 3) + path(1, 8, 9, 10, 4)
+    edges += path(0, 11, 12, 13, 14, 15, 2) + path(2, 16, 17, 18, 19, 20, 4)
+    g = Multigraph.from_edges(21, edges)
+    _, network = _split_network(g)
+    assert _max_flow(network, 2 * 0 + 1, 2 * 4, g.n) == brute_separator(g, 0, 4) == 3
 
 
 def test_vertex_connectivity_collapses_parallel_edges():

@@ -34,6 +34,8 @@ def test_mgf_round_trip(g):
         ("mgf 2 2\n0 1\n", 3),
         ("mgf -1 0\n", 1),
         ("mgf 3 -1\n", 1),
+        ("mgf 0 1\n0 0\n", 1),
+        ("mgf 0 1\n", 1),
     ],
 )
 def test_mgf_parse_errors_carry_line_numbers(text, line):
@@ -41,6 +43,8 @@ def test_mgf_parse_errors_carry_line_numbers(text, line):
         from_mgf(text)
     if " -" in text:  # a negative header count
         assert "non-negative" in str(err.value)
+    if text.startswith("mgf 0 "):  # edges promised, but no vertex to end on
+        assert "the graph has no vertices, so no edge line can be read" in str(err.value)
 
 
 def test_mgf_reads_graph6s_largest_size():
