@@ -16,11 +16,15 @@ Two independent routes are provided and cross-checked in the test suite:
 
 * ``exhaustive_tutte_oracle`` — evaluates the criterion over all 3^n
   disjoint (S,T) pairs and returns a maximum-deficiency witness if any
-  pair violates it.  For each union S∪T it places the members in S or T
-  depth first, largest T-gain first, cutting every branch whose exact bound
-  is below the best so far or whose pairs lose to moving one member into
-  the rest (dominance); ties are never cut and go to the lexicographically
-  smallest (S,T), so the witness does not depend on the search order;
+  pair violates it.  It visits each rest V - S∪T once, depth first, adding
+  one vertex at a time and merging the components it touches, so the
+  components, their parity masks, e(v, R) and the union's T-gain are kept
+  incrementally and never relabelled.  For each union S∪T it places the
+  members in S or T depth first, largest T-gain first, cutting every branch
+  whose exact bound is below the best so far or whose pairs lose to moving
+  one member into the rest (dominance); ties are never cut and go to the
+  lexicographically smallest (S,T), so the witness depends on neither the
+  union order nor the member order;
 * ``find_factor`` — constructs a factor via the standard degree-gadget
   reduction to perfect matching (Tutte 1954), reading it off the matching's
   mate array.  The gadget is built straight as the blossom search's
@@ -172,15 +176,26 @@ def exhaustive_tutte_oracle(g: Multigraph, ell: int) -> TutteWitness | None:
 
     Returns the maximum-deficiency witness whose ``(S, T)`` tuple is
     lexicographically smallest, or None when no pair violates the criterion
-    (i.e. an ℓ-factor exists).  For each union U = S∪T the components of the
-    rest R are labelled once; a depth-first search then puts U's members in S
-    or T, updating q and d by v's terms alone as v joins T.  With members j..
-    undecided it cuts the branch when ``popcount(odd | sflip[j]) + slack +
-    sgain[j]``, rounded down to the parity of ℓn, is below the best so far;
-    U is skipped when that holds at its root with every component odd and
-    no T cap.  That bounds every completion: a component no undecided member
-    flips keeps its parity; v joining T changes slack by ``-step[v] - 2·e(v,
-    T) <= max(0, -step[v])``; every deficiency is ≡ ℓn (mod 2) (Lovász 1970).
+    (i.e. an ℓ-factor exists).  The rests R = V - S∪T are visited once each,
+    depth first, a child adding a vertex h above R's highest; the components
+    of G[R + h] are h merged with the components h touches, so G[R] is never
+    relabelled.  Each component carries its neighbour mask and its parity
+    mask, whose bit v is e(v, Q) mod 2 (the XOR of the odd-multiplicity
+    neighbour masks over Q), so a member's a(v) and the components it flips
+    are mask reads; e(v, R) and the root T-gain are updated from h's
+    neighbours alone, with their multiplicities.  For each union U = S∪T a
+    depth-first search then puts U's members in S or T, updating q and d by
+    v's terms alone as v joins T.  With members j.. undecided it cuts the
+    branch when ``popcount(odd | sflip[j]) + slack + sgain[j] - lost``,
+    rounded down to the parity of ℓn, is below the best so far, where lost
+    counts min(2, T-gain) over the undecided T candidates with a neighbour in
+    T already; U is skipped when that holds at its root with every component
+    odd and no T cap, before its members are sorted.  That bounds every
+    completion: a component no undecided member flips keeps its parity; v
+    joining T changes slack by ``-step[v] - 2·e(v, T) <= max(0, -step[v])``,
+    and by at most ``max(0, -step[v]) - min(2, max(0, -step[v]))`` once T
+    holds a neighbour of v, as T only grows along a branch; every deficiency
+    is ≡ ℓn (mod 2) (Lovász 1970).
 
     Dominance cuts: moving v into R merges the a(v) components of G[R] that
     v touches, so q falls by at most a(v).  From T, d falls by deg_{G-S}(v) =
@@ -192,9 +207,12 @@ def exhaustive_tutte_oracle(g: Multigraph, ell: int) -> TutteWitness | None:
     (if tcap < 0 it never does, and adds nothing to sflip and sgain), and v
     in S ends its branch when ``e(v, T ∪ later T candidates) < ℓ - a(v)``.
     A cut pair is strictly beaten, so no tie with the witness is cut.  Order:
-    ascending ``step`` (largest T-gain first), then id; leaves compare (S, T)
-    lexicographically, so the witness does not depend on it.  The scan is
-    3^n, so graphs above ``ORACLE_CAP`` vertices are refused.
+    ascending ``step`` (largest T-gain first), then id.  Every cut needs a
+    bound strictly below the best so far, so every pair of maximum
+    deficiency reaches a leaf whatever the order of unions and members, and
+    leaves compare (S, T) lexicographically: the witness is the full scan's.
+    Memory is O(n²): the depth-first stack holds one state per level.  The
+    scan is 3^n, so graphs above ``ORACLE_CAP`` vertices are refused.
     """
     if ell < 1:
         raise ValueError(f"factor degree must be >= 1, got {ell}")
@@ -203,112 +221,137 @@ def exhaustive_tutte_oracle(g: Multigraph, ell: int) -> TutteWitness | None:
         raise ValueError(f"oracle refuses {n} vertices (cap {ORACLE_CAP}; the scan is 3^n)")
 
     loops = [0] * n
-    plain: list[tuple[int, int]] = []
-    # layers[j][v]: the neighbours joined to v by more than j parallel
-    # edges; oddnbr[v]: those joined to v by an odd number
-    layers = [[0] * n]
-    oddnbr = [0] * n
+    mult: dict[tuple[int, int], int] = {}
     for _, u, v in g.edges():
         if u == v:
             loops[u] += 1
-            continue
-        j = plain.count((u, v))
-        plain.append((u, v))
-        if j == len(layers):
+        else:
+            mult[u, v] = mult.get((u, v), 0) + 1
+    # layers[j][v]: the neighbours joined to v by more than j parallel edges
+    # (nbr = layers[0]; deep[v] keeps v's non-empty deeper masks); oddnbr[v]:
+    # those joined to v by an odd number; wired[v]: (w, multiplicity) per
+    # neighbour w
+    layers = [[0] * n]
+    oddnbr = [0] * n
+    wired: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (u, v), c in mult.items():
+        while len(layers) < c:
             layers.append([0] * n)
-        layers[j][u] |= 1 << v
-        layers[j][v] |= 1 << u
-        oddnbr[u] ^= 1 << v
-        oddnbr[v] ^= 1 << u
-    nbr, deeper = layers[0], layers[1:]
+        for layer in layers[:c]:
+            layer[u] |= 1 << v
+            layer[v] |= 1 << u
+        if c & 1:
+            oddnbr[u] ^= 1 << v
+            oddnbr[v] ^= 1 << u
+        wired[u].append((v, c))
+        wired[v].append((u, c))
+    nbr = layers[0]
+    deep = [tuple(layer[v] for layer in layers[1:] if layer[v]) for v in range(n)]
     full = (1 << n) - 1
     parity = ell * n & 1
 
     best: TutteWitness | None = None
     best_def = 1
-    for union in range(full + 1):
-        rest = full & ~union
-        # label the components of the graph minus `union`; `odd` marks
-        # those with cross(Q, T) + ℓ|Q| odd while T = ∅
-        comps = []
-        odd = 0
-        remaining = rest
-        while remaining:
-            bit = remaining & -remaining
-            seen = bit
-            frontier = bit
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    b = f & -f
-                    f ^= b
-                    nxt |= nbr[b.bit_length() - 1]
-                frontier = nxt & rest & ~seen
-                seen |= frontier
-            odd |= (ell * seen.bit_count() & 1) << len(comps)
-            comps.append(seen)
-            remaining &= ~seen
+    thr = best_def + ((best_def ^ parity) & 1)  # a bound below thr rounds below best_def
+    # The rests R = V - S∪T, each once, depth first: R's children add a
+    # vertex h above R's highest, and the components of G[R + h] are h merged
+    # with those it touches.  A state is (R, its lowest possible child vertex,
+    # comps, oddsize, the members of U = V - R, steps, gain): comps holds per
+    # component of G[R] its highest vertex's bit, which names it in the
+    # masks below, the mask of its neighbours, and the mask of vertices with
+    # an odd number of edges into it (the XOR of ``oddnbr`` over it);
+    # oddsize names the components of odd size; steps[v] = e(v, R) +
+    # 2·loops(v) - 2ℓ for v in U; gain = Σ max(0, -steps[v]) over U.  The
+    # stack holds (state, next child vertex), one entry per level, so it
+    # keeps O(n) states of O(n) each.
+    steps0 = [2 * (loops[v] - ell) for v in range(n)]
+    stack = [((0, 0, [], 0, list(range(n)), steps0, sum(-s for s in steps0 if s < 0)), 0)]
+    while stack:
+        state, h = stack.pop()
+        rest, lo, comps, oddsize, members, steps, gain = state
+        if h < n:
+            if h + 1 < n:
+                stack.append((state, h + 1))
+            bh = 1 << h
+            kids = []
+            merged = 0
+            nm, pm = nbr[h], oddnbr[h]
+            for comp in comps:
+                if comp[1] & bh:
+                    merged |= comp[0]
+                    nm |= comp[1]
+                    pm ^= comp[2]
+                else:
+                    kids.append(comp)
+            kids.append((bh, nm, pm))
+            odd_h = (1 + (oddsize & merged).bit_count()) & 1
+            child = rest | bh
+            cm = members[:]
+            cm.remove(h)
+            cs = steps[:]
+            cg = gain - (-steps[h] if steps[h] < 0 else 0)
+            for w, c in wired[h]:  # e(w, R) grows by w's edges to h
+                if not child >> w & 1:
+                    s = cs[w]
+                    if s < 0:
+                        cg -= c if c < -s else -s
+                    cs[w] = s + c
+            stack.append(((child, h + 1, kids, oddsize & ~merged | odd_h << h, cm, cs, cg), h + 1))
+        if h != lo:
+            continue  # R's union was scored when R was first popped
 
-        order = []  # (step, v, e(v, R)), step = e(v, R) + 2·loops(v) - 2ℓ
-        gain = 0
-        um = union
-        while um:
-            bv = um & -um
-            um ^= bv
-            v = bv.bit_length() - 1
-            e_r = (nbr[v] & rest).bit_count()
-            for layer in deeper:
-                e_r += (layer[v] & rest).bit_count()
-            step = e_r + 2 * (loops[v] - ell)
-            gain += -step if step < 0 else 0
-            order.append((step, v, e_r))
-        m = len(order)
-        bound = len(comps) - ell * m + gain
-        if bound - ((bound ^ parity) & 1) < best_def:
+        union = full ^ rest
+        m = len(members)
+        # the root bound: every component odd, every member's T-gain
+        if len(comps) - ell * m + gain < thr:
             continue
-        order.sort()
+        order = sorted(members, key=steps.__getitem__)  # stable: ties by id
 
-        # rows[j - 1], j members undecided: sflip, sgain, those that may join T;
-        # the next one's step, id, flip (the components it flips), tcap, S need
+        # rows[j - 1], j members undecided: sflip, sgain, those that may join T,
+        # and those of them whose T-gain is at least 1 and at least 2; the next
+        # one's step, bit, flip (the components it flips), tcap, S need, and its
+        # neighbour masks
         rows = []
-        sf = sg = later = 0
-        for step, v, e_r in reversed(order):
+        sf = sg = later = gain1 = gain2 = 0
+        for v in reversed(order):
+            step = steps[v]
             a_v = flp = 0
-            r_v = nbr[v] & rest
-            for i, cm in enumerate(comps):
-                if not r_v:
-                    break
-                if r_v & cm:
-                    a_v += 1
-                    if (oddnbr[v] & cm).bit_count() & 1:
-                        flp |= 1 << i
-                    r_v &= ~cm
-            tcap = ell + a_v - e_r - 2 * loops[v]
+            if nbr[v] & rest:
+                for top, cn, cp in comps:
+                    if cn >> v & 1:
+                        a_v += 1
+                        if cp >> v & 1:
+                            flp |= top
+            tcap = a_v - step - ell  # ℓ + a(v) - e(v, R) - 2·loops(v)
             if tcap >= 0:
                 sf |= flp
                 sg += -step if step < 0 else 0
                 later |= 1 << v
-            rows.append((sf, sg, later, step, v, flp, tcap, ell - a_v))
-        stack = [(m, odd, 0, -ell * m)]  # slack = -d - ℓ(|S| - |T|)
-        while stack:
-            j, odd, t_mask, slack = stack.pop()
+                if step < 0:
+                    gain1 |= 1 << v
+                    if step < -1:
+                        gain2 |= 1 << v
+            rows.append((sf, sg, later, gain1, gain2, step, 1 << v, flp, tcap, ell - a_v, nbr[v], deep[v]))
+        # slack = -d - ℓ(|S| - |T|); t_nbrs: the vertices with a neighbour in T
+        stack_t = [(m, oddsize if ell & 1 else 0, 0, -ell * m, 0)]
+        while stack_t:
+            j, odd, t_mask, slack, t_nbrs = stack_t.pop()
             while j:  # the next member joins S here; its T branch waits on the stack
                 j -= 1
-                sf, sg, later, step, v, flp, tcap, sneed = rows[j]
-                bound = (odd | sf).bit_count() + slack + sg
-                if bound - ((bound ^ parity) & 1) < best_def:
+                sf, sg, later, gain1, gain2, step, bv, flp, tcap, sneed, nb, dp = rows[j]
+                lost = (gain1 & t_nbrs).bit_count() + (gain2 & t_nbrs).bit_count()
+                if (odd | sf).bit_count() + slack + sg - lost < thr:
                     break
-                c = (nbr[v] & t_mask).bit_count()
-                for layer in deeper:
-                    c += (layer[v] & t_mask).bit_count()
+                c = (nb & t_mask).bit_count()
+                for mk in dp:
+                    c += (mk & t_mask).bit_count()
                 if c <= tcap:
-                    stack.append((j, odd ^ flp, t_mask | 1 << v, slack - step - 2 * c))
+                    stack_t.append((j, odd ^ flp, t_mask | bv, slack - step - 2 * c, t_nbrs | nb))
                 if sneed > 0:
                     reach = t_mask | later
-                    c = (nbr[v] & reach).bit_count()
-                    for layer in deeper:
-                        c += (layer[v] & reach).bit_count()
+                    c = (nb & reach).bit_count()
+                    for mk in dp:
+                        c += (mk & reach).bit_count()
                     if c < sneed:
                         break
             else:
@@ -318,6 +361,7 @@ def exhaustive_tutte_oracle(g: Multigraph, ell: int) -> TutteWitness | None:
                     cand = TutteWitness(_bits(union ^ t_mask), _bits(t_mask), odd.bit_count(), d, deficiency)
                     if best is None or deficiency > best_def or (cand.S, cand.T) < (best.S, best.T):
                         best, best_def = cand, deficiency
+                        thr = best_def + ((best_def ^ parity) & 1)
     return best
 
 

@@ -2,7 +2,6 @@
 checks, fixed seeds.  Each test prints a single PASS line with its headline
 numbers (run pytest with -s to see them)."""
 
-import hashlib
 import json
 import random
 import time
@@ -37,7 +36,7 @@ from regfactor.verifier import (
     verify_extremal_instance,
 )
 
-from helpers import factor_degrees
+from helpers import assert_lines_pinned, factor_degrees
 
 
 def _announce(num: int, text: str) -> None:
@@ -81,16 +80,14 @@ def test_criterion_2_main_theorem_sweep():
     )
 
 
-# sha256 of the JSON list of all 2,020 criterion-3 witnesses (null where a
-# factor exists); pins the maximum-deficiency tie-break at n = 9-12
-_CRITERION_3_WITNESSES = "7e67eebac3115343962335398076f273eac24016b10a88e70940851c8a5499ba"
-
-
 def test_criterion_3_oracle_solver_equivalence():
     start = time.perf_counter()
     disagreements = 0
     trials = 0
-    witnesses = []
+    # every instance's witness (null where a factor exists) is pinned in
+    # tests/data/criterion3_witnesses.jsonl, which pins the maximum-deficiency
+    # tie-break at n = 2-12 and names each instance whose witness moved
+    lines = []
     for i in range(2020):
         ell = (1, 2, 3, 4, 6)[i % 5]
         if i % 101 == 100:
@@ -109,13 +106,13 @@ def test_criterion_3_oracle_solver_equivalence():
         witness = exhaustive_tutte_oracle(g, ell)
         factor = find_factor(g, ell)
         trials += 1
-        witnesses.append(None if witness is None else witness.to_json())
+        lines.append(json.dumps({"i": i, "n": n, "ell": ell, "witness": None if witness is None else witness.to_json()}))
         if (witness is None) != (factor is not None):
             disagreements += 1
     elapsed = time.perf_counter() - start
     assert trials >= 2000
     assert disagreements == 0
-    assert hashlib.sha256(json.dumps(witnesses).encode()).hexdigest() == _CRITERION_3_WITNESSES
+    assert_lines_pinned(lines, "criterion3_witnesses.jsonl", "i")
     _announce(3, f"oracle/solver equivalence: {trials} instances, ell in {{1,2,3,4,6}}, 0 disagreements ({elapsed:.1f}s)")
 
 

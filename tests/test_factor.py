@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from regfactor.connectivity import bridges
 from regfactor.factor import (
+    ORACLE_CAP,
     FactorResult,
+    TutteWitness,
     build_factor_gadget,
     component_edge_counts,
     exhaustive_tutte_oracle,
@@ -163,6 +165,33 @@ def test_oracle_cap_refusal():
     with pytest.raises(ValueError, match="cap"):
         exhaustive_tutte_oracle(g, 2)
     assert exhaustive_tutte_oracle(Multigraph(8), 2) is not None  # isolated vertices, no 2-factor
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Multigraph(0),
+        Multigraph.from_edges(1, [(0, 0)]),
+        Multigraph(5),
+        Multigraph.from_edges(4, [(0, 1), (1, 2), (2, 0), (0, 1)]),
+        Multigraph.from_edges(3, [(0, 0), (1, 1), (1, 1), (2, 2)]),
+        Multigraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
+    ],
+    ids=["no-vertices", "one-looped-vertex", "edgeless", "isolated-vertex", "loops-only", "ell-above-degrees"],
+)
+def test_oracle_edge_cases_match_naive_scan(g):
+    # every ℓ up to 6, so the last graph (degrees 2 and 3) is also scored
+    # with ℓ above every degree
+    for ell in range(1, 7):
+        assert exhaustive_tutte_oracle(g, ell) == naive_oracle(g, ell), ell
+
+
+def test_oracle_witness_at_cap():
+    # the n = 14 graph that CI's oracle step checks (`regfactor generate
+    # extremal --r 1 --k 1 --size-t 3 --size-s 1`), at ℓ = 2
+    g = general_extremal(ExtremalParams(1, 1, size_t=3, size_s=1))
+    assert g.n == ORACLE_CAP
+    assert exhaustive_tutte_oracle(g, 2) == TutteWitness((), (0, 1, 2), 5, 9, 2)
 
 
 def test_oracle_includes_empty_pair():
@@ -346,10 +375,13 @@ def test_oracle_solver_agreement(g, ell):
 
 @given(multigraphs(max_n=7, max_m=12), st.integers(1, 6))
 # one instance per dominance cut: an S need one too tight, an S need without
-# a(v) (the star, ℓ = 1), and a strict T cap or a union skip at a tie (the loop)
+# a(v) (the star, ℓ = 1), and a strict T cap or a union skip at a tie (the loop);
+# and one where the node bound may take only 1, not 2, from a T candidate of
+# T-gain 1 with a neighbour in T (vertex 3, at the union {0, 1, 3})
 @example(Multigraph.from_edges(5, [(2, 3), (2, 3), (2, 4), (2, 2), (0, 2), (0, 1), (1, 4)]), 2)
 @example(Multigraph.from_edges(4, [(2, 3), (1, 2), (0, 2)]), 1)
 @example(Multigraph.from_edges(2, [(0, 0)]), 2)
+@example(Multigraph.from_edges(4, [(3, 3), (3, 0), (1, 3), (1, 3), (0, 2), (3, 2)]), 2)
 def test_oracle_matches_naive_scan(g, ell):
     assert exhaustive_tutte_oracle(g, ell) == naive_oracle(g, ell)
 
@@ -387,10 +419,10 @@ def test_maximum_pairs_admit_no_single_move(g, ell):
 
 def test_oracle_tie_break_is_not_search_order():
     # the bowtie (two triangles sharing vertex 2) has nine pairs of maximum
-    # deficiency 2 for ℓ = 2; the search scores S = (2,), T = (0, 3) first,
-    # and must still return the lexicographically smallest pair
+    # deficiency 2 for ℓ = 2; the search scores S = (2,), T = (0, 1, 3, 4)
+    # first, and must still return the lexicographically smallest pair
     bowtie = Multigraph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
-    assert tutte_deficiency(bowtie, 2, (2,), (0, 3)) == 2
+    assert tutte_deficiency(bowtie, 2, (2,), (0, 1, 3, 4)) == 2
     w = exhaustive_tutte_oracle(bowtie, 2)
     assert (w.S, w.T, w.q, w.d, w.deficiency) == ((2,), (0, 1, 3), 1, 3, 2)
     assert w == naive_oracle(bowtie, 2)
