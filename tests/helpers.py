@@ -7,6 +7,7 @@ check.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from collections import deque
@@ -43,11 +44,6 @@ def simple_graphs(draw, max_n: int = 8):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
     return Multigraph.from_edges(n, chosen)
-
-
-@st.composite
-def vertex_subsets(draw, g: Multigraph):
-    return set(draw(st.lists(st.integers(0, g.n - 1), unique=True, max_size=g.n)))
 
 
 @st.composite
@@ -514,15 +510,23 @@ def gadget_factor_reference(g: Multigraph, ell: int) -> tuple[int, ...] | None:
     return tuple(sorted(e for e in matched if e < g.m))
 
 
+def hashed_line(key: str, name: str, text: str) -> str:
+    """The pinned line of an output too large to keep in tests/data: its
+    name under ``key`` and the sha256 of its text."""
+    return json.dumps({key: name, "sha256": hashlib.sha256(text.encode()).hexdigest()})
+
+
 def assert_lines_pinned(lines: list[str], data_file: str, key: str) -> None:
     """Compare JSON lines byte for byte and in order with tests/data/<data_file>,
-    first naming every ``key`` whose line changed, appeared or disappeared."""
+    first naming every ``key`` whose line changed, appeared or disappeared,
+    with the pinned and the new line of the first five of them."""
     expected = (Path(__file__).parent / "data" / data_file).read_text().splitlines()
     got = {json.loads(line)[key]: line for line in lines}
     want = {json.loads(line)[key]: line for line in expected}
     assert len(got) == len(lines) and len(want) == len(expected)  # one line per key
     moved = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
-    assert not moved, f"lines changed, appeared or disappeared: {moved}"
+    diff = "".join(f"\n{name}\n  pinned: {want.get(name)}\n  new:    {got.get(name)}" for name in moved[:5])
+    assert not moved, f"lines changed, appeared or disappeared: {moved}{diff}"
     assert lines == expected  # and in the same order
 
 

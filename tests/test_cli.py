@@ -1,4 +1,5 @@
-import hashlib
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ import pytest
 from regfactor.cli import main
 from regfactor.factor import TutteWitness
 from regfactor.verifier import VerificationReport
+
+from helpers import assert_lines_pinned, hashed_line
 
 
 def run_cli(capsys, *argv):
@@ -61,116 +64,93 @@ def test_generate_formats(tmp_path, capsys):
     assert dot.read_text().startswith("graph G {")
 
 
-def sha256(text):
-    return hashlib.sha256(text.encode()).hexdigest()
+def run_quiet(*argv):
+    """``main(argv)`` with its output captured, outside any one test: the exit
+    code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize(
-    "argv, summary, digest",
-    [
-        (
-            ("extremal", "--r", "1", "--k", "1", "--size-t", "3", "--size-s", "1", "--blisters", "1", "--extra", "1", "--seed", "2"),
-            {"n": 22, "m": 33, "regular": 3, "bridges": 3},
-            "d065f87b004081330f952cd9978c72281ac7b83871a31f691204613d3481da49",
-        ),
-        (
-            ("random-regular", "--n", "10", "--d", "3", "--seed", "7", "--connected"),
-            {"n": 10, "m": 15, "regular": 3, "bridges": 1},
-            "562f47feb2f97e087b0f4a5701cb743b2ef177a32f60aeb1ef847e8604850770",
-        ),
-        (
-            ("cycle",),
-            {"n": 5, "m": 5, "regular": 2, "bridges": 0},
-            "250af20857ae96eda58af65e0cc83f4f4412a09ddf74b6a2265128098c0e4cc6",
-        ),
-        (
-            ("complete", "--n", "4"),
-            {"n": 4, "m": 6, "regular": 3, "bridges": 0},
-            "b04a7a0142382578a75ded1851d6f695796711b731243a23204043f8f6617ff9",
-        ),
-        (
-            ("bsw", "--r", "2", "--t", "1", "--format", "graph6"),
-            {"n": 38, "m": 95, "regular": 5, "bridges": 0},
-            "62b9362bd87cb1a8b68d1005f4a2d73fd7c6aeb54ec124b807b60871ed06beb3",
-        ),
-        (
-            ("extremal", "--r", "1", "--k", "1", "--size-t", "1"),
-            {"n": 10, "m": 15, "regular": 3, "bridges": 3},
-            "8954b9715de47f5443d25787ce6be6b0b15165a92a992954c93f52d7e65e67f8",
-        ),
-        (
-            ("extremal", "--r", "2", "--k", "1", "--size-t", "1"),
-            {"n": 16, "m": 40, "regular": 5, "bridges": 5},
-            "8a34d681cc9df5f451b3498adf2180898a50af4fb7fba09a40707f017443cf83",
-        ),
-        (
-            ("extremal", "--r", "1", "--k", "1", "--size-t", "3", "--size-s", "1", "--blisters", "1"),
-            {"n": 18, "m": 27, "regular": 3, "bridges": 3},
-            "e4d6e5b4f43a8235b60e2ae3adea0484fbb8ff59cb3cfa5b3e2e56910f7bc8bb",
-        ),
-        (
-            ("extremal", "--r", "4", "--k", "3", "--size-t", "2", "--size-s", "1"),
-            {"n": 18, "m": 81, "regular": 9, "bridges": 3},
-            "d0efc2888f5d49f59f77855d51d4d089cc5f794950e02b86b17d74494386fd61",
-        ),
-        (
-            ("bsw", "--r", "2", "--t", "1"),
-            {"n": 38, "m": 95, "regular": 5, "bridges": 0},
-            "8e531333f8bade6809b003c9093176975259ba6edf8bfab9e4a6a3c93e3fe018",
-        ),
-        (
-            ("petersen",),
-            {"n": 10, "m": 15, "regular": 3, "bridges": 0},
-            "3e123476f05599d68782db0844bac0ee196c0a6839f12590b1ce262cfde5af26",
-        ),
-    ],
-    ids=[
-        "extremal", "random-regular-connected", "named-cycle", "named-complete", "bsw-graph6",
-        "sylvester-r1", "sylvester-r2", "extremal-blistered", "extremal-r4k3", "bsw-mgf", "named-petersen",
-    ],
-)
-def test_generate_to_stdout_pinned(capsys, argv, summary, digest):
-    code, stdout, stderr = run_cli(capsys, "generate", *argv)
+# case id: the `generate` arguments and the summary it writes to stderr
+GENERATE_CASES = {
+    "extremal": (
+        ("extremal", "--r", "1", "--k", "1", "--size-t", "3", "--size-s", "1", "--blisters", "1", "--extra", "1", "--seed", "2"),
+        {"n": 22, "m": 33, "regular": 3, "bridges": 3},
+    ),
+    "random-regular-connected": (
+        ("random-regular", "--n", "10", "--d", "3", "--seed", "7", "--connected"),
+        {"n": 10, "m": 15, "regular": 3, "bridges": 1},
+    ),
+    "named-cycle": (("cycle",), {"n": 5, "m": 5, "regular": 2, "bridges": 0}),
+    "named-complete": (("complete", "--n", "4"), {"n": 4, "m": 6, "regular": 3, "bridges": 0}),
+    "bsw-graph6": (("bsw", "--r", "2", "--t", "1", "--format", "graph6"), {"n": 38, "m": 95, "regular": 5, "bridges": 0}),
+    "sylvester-r1": (("extremal", "--r", "1", "--k", "1", "--size-t", "1"), {"n": 10, "m": 15, "regular": 3, "bridges": 3}),
+    "sylvester-r2": (("extremal", "--r", "2", "--k", "1", "--size-t", "1"), {"n": 16, "m": 40, "regular": 5, "bridges": 5}),
+    "extremal-blistered": (
+        ("extremal", "--r", "1", "--k", "1", "--size-t", "3", "--size-s", "1", "--blisters", "1"),
+        {"n": 18, "m": 27, "regular": 3, "bridges": 3},
+    ),
+    "extremal-r4k3": (
+        ("extremal", "--r", "4", "--k", "3", "--size-t", "2", "--size-s", "1"),
+        {"n": 18, "m": 81, "regular": 9, "bridges": 3},
+    ),
+    "bsw-mgf": (("bsw", "--r", "2", "--t", "1"), {"n": 38, "m": 95, "regular": 5, "bridges": 0}),
+    "named-petersen": (("petersen",), {"n": 10, "m": 15, "regular": 3, "bridges": 0}),
+}
+
+
+@pytest.fixture(scope="module")
+def generated():
+    return {case: run_quiet("generate", *argv) for case, (argv, _) in GENERATE_CASES.items()}
+
+
+@pytest.mark.parametrize("case", GENERATE_CASES)
+def test_generate_to_stdout_pinned(case, generated):
+    # every case runs once per module; each checks its own summary and pins
+    # every stdout, so a moved one fails each case and each names it
+    code, _, stderr = generated[case]
     assert code == 0
-    assert json.loads(stderr) == summary
-    assert sha256(stdout) == digest
+    assert json.loads(stderr) == GENERATE_CASES[case][1]
+    lines = [hashed_line("case", name, stdout) for name, (_, stdout, _) in generated.items()]
+    assert_lines_pinned(lines, "generate_stdout.jsonl", "case")
 
 
-@pytest.mark.parametrize(
-    "name, generate, check, digest",
-    [
-        # the first token picks the reader, whatever the file name's suffix says
-        (
-            "petersen.txt",
-            ("petersen", "--format", "graph6"),
-            (),
-            "636e828a32eef25ba4fc07ba1ae964b85f0466c6a0bd6cba4aae0a0b02b994ee",
-        ),
-        (
-            "k4.g6",
-            ("complete", "--n", "4"),
-            (),
-            "197776f3d7e8e87af05de7b5c6946614a390f322e9b0917417d5c024d24e4b66",
-        ),
-        (
-            "petersen.g6",
-            ("petersen", "--format", "graph6"),
-            ("--oracle",),
-            "818fbc766d516b61c8efc8881cca7bd0c74dadb018013b4b77b77bc1652a76f9",
-        ),
-    ],
-    ids=["graph6-explicit", "mgf-explicit", "graph6-auto-oracle"],
-)
-def test_check_format_pinned(tmp_path, capsys, name, generate, check, digest):
-    path = tmp_path / name
-    code, summary, _ = run_cli(capsys, "generate", *generate, "--out", str(path))
-    assert code == 0
-    code, stdout, _ = run_cli(capsys, "check", "--input", str(path), "--k", "1", *check)
-    assert code == 0
-    report = json.loads(stdout)
-    assert report.pop("input") == str(path)
-    assert {key: report[key] for key in ("n", "m", "regular", "bridges")} == json.loads(summary)
-    assert sha256(json.dumps(report)) == digest
+# case id: the file name, the `generate` arguments that write it, and the extra
+# `check` arguments; the first token picks the reader, whatever the suffix says
+CHECK_CASES = {
+    "graph6-explicit": ("petersen.txt", ("petersen", "--format", "graph6"), ()),
+    "mgf-explicit": ("k4.g6", ("complete", "--n", "4"), ()),
+    "graph6-auto-oracle": ("petersen.g6", ("petersen", "--format", "graph6"), ("--oracle",)),
+}
+
+
+@pytest.fixture(scope="module")
+def checked(tmp_path_factory):
+    """Per case: the file's path, `generate`'s exit code and summary, and
+    `check`'s exit code and report."""
+    runs = {}
+    for case, (name, generate, check) in CHECK_CASES.items():
+        path = str(tmp_path_factory.mktemp(case) / name)
+        code, summary, _ = run_quiet("generate", *generate, "--out", path)
+        check_code, stdout, _ = run_quiet("check", "--input", path, "--k", "1", *check)
+        runs[case] = (path, code, json.loads(summary), check_code, json.loads(stdout))
+    return runs
+
+
+@pytest.mark.parametrize("case", CHECK_CASES)
+def test_check_format_pinned(case, checked):
+    # as above: each case checks its own run and pins every report
+    path, code, summary, check_code, report = checked[case]
+    assert code == check_code == 0
+    assert report["input"] == path
+    assert {key: report[key] for key in summary} == summary
+    lines = [
+        json.dumps({"case": name, "report": {key: value for key, value in other.items() if key != "input"}})
+        for name, (*_, other) in checked.items()
+    ]
+    assert_lines_pinned(lines, "check_reports.jsonl", "case")
 
 
 def test_check_takes_no_format(tmp_path, capsys):

@@ -1,5 +1,3 @@
-import hashlib
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -27,6 +25,8 @@ from regfactor.generators import (
 from regfactor.io import to_mgf
 from regfactor.multigraph import Multigraph
 from regfactor.verifier import RK_PAIRS, RT_PAIRS
+
+from helpers import assert_lines_pinned, hashed_line
 
 
 # -- deficiency components ------------------------------------------------------
@@ -293,53 +293,44 @@ def test_bridged_chain_control(r, k):
 #
 # The perfbench digests pin factor edge ids and certificate vertex ids, so
 # every family must keep its vertex numbering and its edge-id order, not only
-# its edge multiset.  Each hash is the sha256 of the families' to_mgf texts,
-# concatenated.
+# its edge multiset.  tests/data/generator_graphs.jsonl holds the sha256 of
+# each graph's to_mgf text, named by family and index.
 
 PINNED_FAMILIES = {
-    "complete": (
-        lambda: [complete_graph(n) for n in range(2, 9)],
-        "55a06e634e8d2f4ff3ed6160838ab18a797a3cc1bc047b4ebf90addc42e33b37",
-    ),
-    "h_rt": (
-        lambda: [h_rt(r, t) for r, t in RT_PAIRS],
-        "15be0710c051706d315dd84c33d43d05c90096329be3d23c07ffb0ab8374bc94",
-    ),
-    "bsw": (
-        lambda: [bsw_graph(BswParams(r, t)) for r, t in RT_PAIRS],
-        "0cab6cb0f2af90da097ee7ab93791c214677235c5492cedb286e81088744afe5",
-    ),
-    "deficiency": (
-        lambda: [deficiency_component(r, d)[0] for r in range(1, 5) for d in (1, 3)],
-        "68d23420a75a1e462086300018acdf79f584f6186ea26e55215be9b2992c978e",
-    ),
-    "chain": (
-        lambda: [bridged_chain(r, 2 * r + 4 - 3 * k) for r, k in RK_PAIRS],
-        "fa20dbb2cacae706918b963b9d046a0f330f28ba751d5266a1716de5fa65c1ee",
-    ),
-    "extremal": (
-        lambda: [general_extremal(p, 0) for r, k in RK_PAIRS for p in extremal_parameter_grid(r, k)],
-        "3be84ff414ecfc4e1a58bb01328c49707af3a15b794795aa426bdc5f63b63bb7",
-    ),
-    "random": (
-        lambda: [random_multigraph(n, m, seed) for n, m, seed in [(9, 13, 1), (10, 3, 2), (12, 25, 1_000_004)]]
+    "complete": lambda: [complete_graph(n) for n in range(2, 9)],
+    "h_rt": lambda: [h_rt(r, t) for r, t in RT_PAIRS],
+    "bsw": lambda: [bsw_graph(BswParams(r, t)) for r, t in RT_PAIRS],
+    "deficiency": lambda: [deficiency_component(r, d)[0] for r in range(1, 5) for d in (1, 3)],
+    "chain": lambda: [bridged_chain(r, 2 * r + 4 - 3 * k) for r, k in RK_PAIRS],
+    "extremal": lambda: [general_extremal(p, 0) for r, k in RK_PAIRS for p in extremal_parameter_grid(r, k)],
+    "random": lambda: (
+        [random_multigraph(n, m, seed) for n, m, seed in [(9, 13, 1), (10, 3, 2), (12, 25, 1_000_004)]]
         + [random_regular_multigraph(n, d, seed) for n, d, seed in [(9, 4, 0), (10, 3, 3), (11, 4, 1_000_012)]]
-        + [random_connected_regular_multigraph(n, d, seed) for n, d, seed in [(30, 3, 0), (30, 9, 1), (80, 5, 2)]],
-        "2a86aa3cf36331790c175d17831d62e8d2577f3720714458800587bba348307f",
+        + [random_connected_regular_multigraph(n, d, seed) for n, d, seed in [(30, 3, 0), (30, 9, 1), (80, 5, 2)]]
     ),
 }
 
 
+@pytest.fixture(scope="module")
+def family_lines():
+    return [
+        hashed_line("graph", f"{family}-{i}", to_mgf(g))
+        for family in sorted(PINNED_FAMILIES)
+        for i, g in enumerate(PINNED_FAMILIES[family]())
+    ]
+
+
 @pytest.mark.parametrize("family", sorted(PINNED_FAMILIES))
-def test_generator_output_pinned(family):
-    build, expected = PINNED_FAMILIES[family]
-    text = "".join(to_mgf(g) for g in build())
-    assert hashlib.sha256(text.encode()).hexdigest() == expected
+def test_generator_output_pinned(family, family_lines):
+    # the graphs are built once per module and every family's case pins the
+    # whole file, so a moved graph fails each case and each names it
+    assert_lines_pinned(family_lines, "generator_graphs.jsonl", "graph")
 
 
 def _extremal_sweep_outcomes():
     """Every r <= 3 cell with diff <= 3 where allowed, |S| <= 3, blisters <= 6,
-    extras <= 1 and every seed below |T|: the graph and (S, T), or the error."""
+    extras <= 1 and every seed below |T|, named by cell and seed: the graph
+    and (S, T), or the error."""
     for r in range(1, 4):
         for k in range(1, (2 * r + 1) // 3 + 1):
             for diff in range(1, 4) if 3 * k == 2 * r + 1 else (1,):
@@ -347,20 +338,20 @@ def _extremal_sweep_outcomes():
                     for b in range(7) if size_s else (0,):
                         for x in (0, 1):
                             for seed in range(size_s + diff):
+                                name = f"extremal-r{r}-k{k}-t{size_s + diff}-s{size_s}-b{b}-x{x}-seed{seed}"
                                 try:
                                     params = ExtremalParams(r, k, size_s + diff, size_s, b, x)
                                     g, s, t = general_extremal_with_partition(params, seed)
                                 except ValueError as exc:
-                                    yield f"error: {exc}\n"
+                                    yield name, f"error: {exc}\n"
                                 else:
-                                    yield to_mgf(g) + repr((s, t)) + "\n"
+                                    yield name, to_mgf(g) + repr((s, t)) + "\n"
 
 
 def test_extremal_builder_outcomes_pinned():
     outcomes = list(_extremal_sweep_outcomes())
     assert len(outcomes) == 900
-    assert sum(o.startswith("error: ") for o in outcomes) == 58
-    digest = hashlib.sha256("".join(outcomes).encode()).hexdigest()
-    assert digest == "ea4ef7cf8bdbdea3aab8e4f96fa07a0a00c6c6a55d5e03d4d44bb69f13383205"
-    chains = "".join(to_mgf(bridged_chain(r, p)) for r in range(1, 4) for p in range(1, 5))
-    assert hashlib.sha256(chains.encode()).hexdigest() == "63d531f823b45891f91ce0e9af3094632eea98d8bbe2aec041527fc12d8d1d57"
+    assert sum(text.startswith("error: ") for _, text in outcomes) == 58
+    outcomes += [(f"chain-r{r}-p{p}", to_mgf(bridged_chain(r, p))) for r in range(1, 4) for p in range(1, 5)]
+    lines = [hashed_line("instance", name, text) for name, text in outcomes]
+    assert_lines_pinned(lines, "extremal_outcomes.jsonl", "instance")

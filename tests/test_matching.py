@@ -1,4 +1,3 @@
-import hashlib
 import json
 
 import pytest
@@ -12,9 +11,11 @@ from regfactor.verifier import RK_PAIRS, main_sweep_tasks
 
 from helpers import (
     adjacency_lists,
+    assert_lines_pinned,
     blossom_graphs,
     brute_max_matching_size,
     factor_degrees,
+    hashed_line,
     pinned_hosts,
     reference_blossom_mates,
     reference_gadget,
@@ -129,36 +130,34 @@ def test_nested_blossoms_then_failed_search():
 # find_factor reads the factor off the gadget's mate array, and the perfbench
 # digests pin those factors, so the matching itself must stay the same mate
 # array, not only the same size.  The search order (id-ordered seeding and
-# relabelling, FIFO queue) decides which maximum matching comes out.  The hash
-# is the sha256 of the JSON list of sorted(max_matching(gadget)), gadget by
-# gadget, on the reference Multigraph gadget; max_matching turns the mate array
-# into edge ids.  build_factor_gadget's adjacency lists must equal the
-# reference's, so the search runs the same on both.  tests/test_factor.py pins
-# the factors read off these gadgets.
+# relabelling, FIFO queue) decides which maximum matching comes out.  Each
+# host's line holds the sha256 of the JSON of sorted(max_matching(gadget)) on
+# the reference Multigraph gadget; max_matching turns the mate array into edge
+# ids.  build_factor_gadget's adjacency lists must equal the reference's, so
+# the search runs the same on both.  tests/test_factor.py pins the factors read
+# off these gadgets.
 
 
-def _reference_matching(g, ell):
+def _matching_line(host, g, ell):
     reference = reference_gadget(g, ell)[0]
     assert build_factor_gadget(g, ell)[0].adj == adjacency_lists(reference)
-    return sorted(max_matching(reference))
+    return hashed_line("host", host, json.dumps(sorted(max_matching(reference))))
 
 
 def test_matching_output_pinned():
-    matchings = [_reference_matching(g, ell) for _, g, ell in pinned_hosts()]
-    assert len(matchings) == 47
-    digest = hashlib.sha256(json.dumps(matchings).encode()).hexdigest()
-    assert digest == "1272c7c723f17a297d1351605d99c998576a08635c3e50ca54776c7ef0972b1f"
+    lines = [_matching_line(host, g, ell) for host, g, ell in pinned_hosts()]
+    assert len(lines) == 47
+    assert_lines_pinned(lines, "gadget_matchings.jsonl", "host")
 
 
 def test_large_gadget_matching_output_pinned():
     # The seed-0 n = 80 and n = 240 guarantee gadgets that perfbench runs,
     # where nearly all searches and contractions happen.
-    matchings = []
+    lines = []
     for r, k in RK_PAIRS:
         for _, a in main_sweep_tasks(r, k, 7, 0, (30,) * 5 + (80, 240)):
             if a["n"] != 30:
                 g = random_connected_regular_multigraph(a["n"], 2 * r + 1, a["seed"])
-                matchings.append(_reference_matching(g, 2 * k))
-    assert len(matchings) == 14
-    digest = hashlib.sha256(json.dumps(matchings).encode()).hexdigest()
-    assert digest == "e8cd93763501a84a3a65d7277baab5a11cea23842959bddaf99b2c9c3cdf8c39"
+                lines.append(_matching_line(f"main-r{r}-k{k}-n{a['n']}-i{a['index']}", g, 2 * k))
+    assert len(lines) == 14
+    assert_lines_pinned(lines, "large_gadget_matchings.jsonl", "host")

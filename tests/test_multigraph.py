@@ -1,4 +1,6 @@
 import ast
+import re
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -215,3 +217,25 @@ def test_no_other_module_reads_multigraph_fields():
         if isinstance(node, ast.Attribute) and node.attr in fields
     ]
     assert reads == []
+
+
+def test_no_test_module_hashes_an_output():
+    # a pinned output is a named line of tests/data, compared by
+    # helpers.assert_lines_pinned, so a moved output names its instance; only
+    # helpers.hashed_line hashes, for outputs too large to keep as they are
+    found = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        if path.name == "helpers.py":
+            continue
+        text = path.read_text()
+        found += [f"{path.name}: {literal}" for literal in re.findall(r"[0-9a-f]{64}", text)]
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            # a module with a sha256 is a hashing module, whatever its name
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names if hasattr(import_module(name), "sha256")]
+    assert found == []

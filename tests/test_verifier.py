@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 
@@ -235,16 +234,16 @@ def test_every_grid_cell_certified():
     # every r <= 4 cell at seed 0, the blistered b2, the r4k3 t3s1 and the
     # two n = 14 cells (whose first candidate is the oracle's 3^14 scan)
     # included
-    certs = []
+    lines = []
     for r, k in RK_PAIRS:
-        for params in extremal_parameter_grid(r, k):
-            cert = characterization_check(general_extremal(params), r, k)
-            assert cert.all_conditions_hold and cert.all_equalities_hold, params
-            certs.append(cert.to_json())
-    assert len(certs) == 72
-    # the exact (S, T) of every cell, in grid order
-    digest = hashlib.sha256(json.dumps(certs).encode()).hexdigest()
-    assert digest == "2975db240240495aee5b807be2324b98069d841183b849bfd86c2df6f872e369"
+        for p in extremal_parameter_grid(r, k):
+            cert = characterization_check(general_extremal(p), r, k)
+            assert cert.all_conditions_hold and cert.all_equalities_hold, p
+            cell = f"extremal-r{r}-k{k}-t{p.size_t}-s{p.size_s}-b{p.blister_count}-x{p.extra_components}"
+            lines.append(json.dumps({"cell": cell, "certificate": cert.to_json()}))
+    assert len(lines) == 72
+    # the exact (S, T) of every cell, in grid order, named as the battery names it
+    assert_lines_pinned(lines, "grid_certificates.jsonl", "cell")
 
 
 def test_certificate_search_finds_cut_edges_once(monkeypatch):
@@ -391,8 +390,14 @@ def test_main_theorem_failure_carries_oracle_witness(k4, monkeypatch):
 
 @pytest.mark.parametrize(
     "tasks",
-    [main_sweep_tasks(1, 1, trials=8, seed=9), charzn_sweep_tasks(1, 1), bsw_sweep_tasks(2, 1)],
-    ids=["main", "charzn", "bsw"],
+    [
+        main_sweep_tasks(1, 1, trials=8, seed=9),
+        charzn_sweep_tasks(1, 1),
+        bsw_sweep_tasks(2, 1),
+        # 37 tasks at two workers go in chunks of 4, the last of 1
+        main_sweep_tasks(1, 1, trials=20, seed=9) + charzn_sweep_tasks(1, 1),
+    ],
+    ids=["main", "charzn", "bsw", "chunked"],
 )
 def test_run_tasks_parallel_matches_serial(tasks):
     serial = [rep.to_json() for rep in run_tasks(tasks, jobs=1)]
@@ -431,6 +436,7 @@ def test_run_tasks_starts_no_more_workers_than_tasks(monkeypatch):
     import concurrent.futures
 
     started = []
+    chunks = []
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -442,7 +448,8 @@ def test_run_tasks_starts_no_more_workers_than_tasks(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
+            chunks.append(chunksize)
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
@@ -461,6 +468,9 @@ def test_run_tasks_starts_no_more_workers_than_tasks(monkeypatch):
     # nor more than one per CPU: `--jobs 5000` must not fork 5,000 processes
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     run_tasks(main_sweep_tasks(1, 1, trials=6, seed=9), jobs=5000)
+    # a quarter of each worker's share per chunk, and never less than one task
+    run_tasks(main_sweep_tasks(1, 1, trials=100, seed=9), jobs=2)
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: in-process
     run_tasks(tasks, jobs=5000)
-    assert started == [2, 4]
+    assert started == [2, 4, 2]
+    assert chunks == [1, 1, 12]
